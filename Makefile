@@ -12,7 +12,7 @@ test:
 
 # lint builds the sopslint multichecker (internal/lint: mapiter,
 # rngsource, walltime, ctxflow, tokenpair, goroleak, chansend,
-# dettaint) and runs it over the module through `go vet -vettool`,
+# dettaint, speccoverage, errverbatim, allocfree) and runs it over the module through `go vet -vettool`,
 # exactly as CI does. Standalone runs — no vet build cache, handy while
 # iterating on an analyzer — are `go run ./cmd/sopslint ./...`
 # (add -json for machine-readable output).

@@ -301,38 +301,6 @@ func BenchmarkAblationKSGVariants(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationICPNearestNeighbour compares the k-d tree correspondence
-// search against the linear scan inside ICP at the paper's collective sizes.
-func BenchmarkAblationICPNearestNeighbour(b *testing.B) {
-	rng := rngx.New(5)
-	for _, n := range []int{20, 120} {
-		types := sim.TypesRoundRobin(n, 3)
-		ref := make([]vec.Vec2, n)
-		for i := range ref {
-			x, y := rng.UniformDisc(8)
-			ref[i] = vec.Vec2{X: x, Y: y}
-		}
-		moving := align.Rigid{Theta: 1.1, T: vec.Vec2{X: 4, Y: -2}}.ApplyAll(ref)
-		for _, brute := range []bool{false, true} {
-			name := "kdtree"
-			if brute {
-				name = "brute"
-			}
-			b.Run(nameN(name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := align.ICP(moving, ref, types, align.Options{BruteForceNN: brute}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func nameN(name string, n int) string {
-	return name + "/n=" + itoa(n)
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
@@ -557,21 +525,26 @@ func BenchmarkBinnedEstimator(b *testing.B) {
 	}
 }
 
+// BenchmarkICPAlign times one full ICP alignment (all restarts plus the
+// final matching) of an l=3 collective under a rigid motion. n=120 keeps
+// the longest same-type run, 40 points, measured.
 func BenchmarkICPAlign(b *testing.B) {
-	rng := rngx.New(13)
-	n := 50
-	types := sim.TypesRoundRobin(n, 3)
-	ref := make([]vec.Vec2, n)
-	for i := range ref {
-		x, y := rng.UniformDisc(6)
-		ref[i] = vec.Vec2{X: x, Y: y}
-	}
-	moving := align.Rigid{Theta: 2.2, T: vec.Vec2{X: 9, Y: 1}}.ApplyAll(ref)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := align.ICP(moving, ref, types, align.Options{}); err != nil {
-			b.Fatal(err)
+	for _, n := range []int{20, 50, 120} {
+		rng := rngx.New(13)
+		types := sim.TypesRoundRobin(n, 3)
+		ref := make([]vec.Vec2, n)
+		for i := range ref {
+			x, y := rng.UniformDisc(6)
+			ref[i] = vec.Vec2{X: x, Y: y}
 		}
+		moving := align.Rigid{Theta: 2.2, T: vec.Vec2{X: 9, Y: 1}}.ApplyAll(ref)
+		b.Run("n="+itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := align.ICP(moving, ref, types); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

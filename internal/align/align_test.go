@@ -3,6 +3,7 @@ package align
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/vec"
@@ -158,7 +159,7 @@ func TestICPRecoversPlantedSymmetry(t *testing.T) {
 			moving[perm[i]] = g.Apply(ref[i])
 			movTypes[perm[i]] = types[i]
 		}
-		res, err := ICP(moving, ref, movTypes, Options{})
+		res, err := ICP(moving, ref, movTypes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +204,7 @@ func TestICPPermIsTypeRespectingBijection(t *testing.T) {
 	}
 	ref := randomCloud(r, n, 6)
 	moving := Rigid{Theta: 0.4, T: vec.Vec2{X: 3}}.ApplyAll(ref)
-	res, err := ICP(moving, ref, types, Options{})
+	res, err := ICP(moving, ref, types)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestICPNoisyAlignment(t *testing.T) {
 	for i := range moving {
 		moving[i] = moving[i].Add(vec.Vec2{X: r.NormFloat64() * 0.02, Y: r.NormFloat64() * 0.02})
 	}
-	res, err := ICP(moving, ref, types, Options{})
+	res, err := ICP(moving, ref, types)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,44 +242,147 @@ func TestICPNoisyAlignment(t *testing.T) {
 	}
 }
 
-func TestICPBruteForceMatchesTree(t *testing.T) {
-	r := rand.New(rand.NewPCG(13, 14))
-	n := 20
-	types := make([]int, n)
+// pinnedCloud builds a deterministic ICP input: n particles of l types
+// (particle i has type i%l), a reference cloud, and a moving copy under a
+// random rigid motion plus Gaussian jitter of the given size, shuffled
+// within each type. With dup, every other block of l particles copies the
+// block before it, so same-type reference points coincide and
+// nearest-neighbour distances tie exactly.
+func pinnedCloud(seed uint64, n, l int, noise float64, dup bool) (moving, ref []vec.Vec2, types []int) {
+	r := rand.New(rand.NewPCG(seed, seed+1))
+	types = make([]int, n)
 	for i := range types {
-		types[i] = i % 2
+		types[i] = i % l
 	}
-	ref := randomCloud(r, n, 8)
-	moving := Rigid{Theta: 1.2, T: vec.Vec2{X: 5, Y: 5}}.ApplyAll(ref)
-	a, err := ICP(moving, ref, types, Options{})
-	if err != nil {
-		t.Fatal(err)
+	ref = randomCloud(r, n, 8)
+	if dup {
+		for i := l; i < n; i += 2 * l {
+			for k := i; k < i+l && k < n; k++ {
+				ref[k] = ref[k-l]
+			}
+		}
 	}
-	b, err := ICP(moving, ref, types, Options{BruteForceNN: true})
-	if err != nil {
-		t.Fatal(err)
+	g := Rigid{Theta: r.Float64()*2*math.Pi - math.Pi, T: vec.Vec2{X: r.Float64()*20 - 10, Y: r.Float64()*20 - 10}}
+	moved := g.ApplyAll(ref)
+	for i := range moved {
+		moved[i] = moved[i].Add(vec.Vec2{X: r.NormFloat64() * noise, Y: r.NormFloat64() * noise})
 	}
-	if math.Abs(normalizeAngle(a.Transform.Theta-b.Transform.Theta)) > 1e-9 {
-		t.Fatalf("tree and brute-force ICP disagree: %v vs %v", a.Transform.Theta, b.Transform.Theta)
+	// Shuffle within each type: type t's members are t, t+l, t+2l, ...
+	moving = make([]vec.Vec2, n)
+	for t := 0; t < l; t++ {
+		var idx []int
+		for i := t; i < n; i += l {
+			idx = append(idx, i)
+		}
+		p := r.Perm(len(idx))
+		for k, i := range idx {
+			moving[idx[p[k]]] = moved[i]
+		}
 	}
-	for j := range a.Perm {
-		if a.Perm[j] != b.Perm[j] {
-			t.Fatal("permutations differ between NN backends")
+	return moving, ref, types
+}
+
+// TestICPPinnedOutputBits pins the exact output of ICP — the bits of the
+// recovered angle and RMS, the permutation and the iteration count — on
+// fixed clouds, as produced by the type-lifted k-d tree search the
+// per-type scan replaced. Any change to the correspondence search, its
+// tie-breaks or the accumulation order shows up here.
+func TestICPPinnedOutputBits(t *testing.T) {
+	cases := []struct {
+		name               string
+		seed               uint64
+		n, l               int
+		noise              float64
+		dup                bool
+		thetaBits, rmsBits uint64
+		iters              int
+		perm               []int
+	}{
+		{"l1-n20", 21, 20, 1, 0.05, false, 0x400f2b4e6e90ab7a, 0x3fb1caac503dbcb0, 38,
+			[]int{19, 1, 8, 3, 14, 12, 18, 17, 16, 4, 9, 0, 6, 7, 13, 10, 11, 2, 15, 5}},
+		{"l3-n50", 22, 50, 3, 0.05, false, 0x4005af1d2b1d3ca1, 0x3fb0979f1cb29f97, 62,
+			[]int{9, 22, 5, 30, 13, 11, 18, 46, 32, 3, 19, 17, 48, 43, 23, 27, 31, 20, 39, 7, 47, 6, 4, 14, 33,
+				37, 41, 24, 28, 29, 12, 16, 2, 0, 1, 38, 15, 34, 44, 45, 40, 26, 36, 10, 8, 42, 25, 35, 21, 49}},
+		{"l10-n20", 23, 20, 10, 0.05, false, 0xbfb51855080b1804, 0x3fadcaac074c2195, 42,
+			[]int{0, 1, 2, 13, 4, 15, 16, 17, 18, 9, 10, 11, 12, 3, 14, 5, 6, 7, 8, 19}},
+		{"l2-n16-duplicates", 24, 16, 2, 0, true, 0x40070b2bf0b2da78, 0x3cc0fc3bd16daedf, 32,
+			[]int{8, 3, 14, 11, 0, 5, 10, 9, 2, 1, 4, 15, 6, 7, 12, 13}},
+	}
+	for _, c := range cases {
+		moving, ref, types := pinnedCloud(c.seed, c.n, c.l, c.noise, c.dup)
+		res, err := ICP(moving, ref, types)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(res.Transform.Theta); got != c.thetaBits {
+			t.Errorf("%s: theta bits %#016x, want %#016x", c.name, got, c.thetaBits)
+		}
+		if got := math.Float64bits(res.RMS); got != c.rmsBits {
+			t.Errorf("%s: RMS bits %#016x, want %#016x", c.name, got, c.rmsBits)
+		}
+		if res.Iterations != c.iters {
+			t.Errorf("%s: %d iterations, want %d", c.name, res.Iterations, c.iters)
+		}
+		if !slices.Equal(res.Perm, c.perm) {
+			t.Errorf("%s: perm %v, want %v", c.name, res.Perm, c.perm)
+		}
+	}
+}
+
+// Property: the per-type scan returns exactly what the paper's type-lifted
+// search returns — the (squared distance, index)-smallest reference point
+// in R³ with the type, scaled by ten diameters, as third coordinate — so
+// it never crosses types even when another type's point is closer in the
+// plane.
+func TestNearestMatchesTypeLiftedSearch(t *testing.T) {
+	r := rand.New(rand.NewPCG(17, 18))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + r.IntN(60)
+		l := 1 + r.IntN(5)
+		moving, ref, types := pinnedCloud(uint64(100+trial), n, l, 0.5, trial%2 == 0)
+		var a Aligner
+		a.mov = append(a.mov[:0], moving...)
+		a.ref = append(a.ref[:0], ref...)
+		vec.Center(a.mov)
+		vec.Center(a.ref)
+		a.groupByType(a.ref, types)
+		var radius float64
+		for _, p := range append(slices.Clone(a.mov), a.ref...) {
+			radius = math.Max(radius, p.Norm())
+		}
+		scale := 10 * 2 * radius
+		for i, p := range a.mov {
+			p = p.Rotate(r.Float64() * 2 * math.Pi)
+			want, wantD2 := -1, math.Inf(1)
+			for j, q := range a.ref {
+				dz := float64(types[i])*scale - float64(types[j])*scale
+				dx, dy := p.X-q.X, p.Y-q.Y
+				if d2 := dx*dx + dy*dy + dz*dz; d2 < wantD2 {
+					want, wantD2 = j, d2
+				}
+			}
+			got, gotD2 := a.nearest(i, p)
+			if got != want || gotD2 != wantD2 {
+				t.Fatalf("trial %d, particle %d: scan (%d, %v), lifted search (%d, %v)", trial, i, got, gotD2, want, wantD2)
+			}
+			if types[got] != types[i] {
+				t.Fatalf("trial %d: nearest crossed types", trial)
+			}
 		}
 	}
 }
 
 func TestICPInputValidation(t *testing.T) {
-	if _, err := ICP(make([]vec.Vec2, 2), make([]vec.Vec2, 3), []int{0, 0}, Options{}); err == nil {
+	if _, err := ICP(make([]vec.Vec2, 2), make([]vec.Vec2, 3), []int{0, 0}); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := ICP(make([]vec.Vec2, 2), make([]vec.Vec2, 2), []int{0}, Options{}); err == nil {
+	if _, err := ICP(make([]vec.Vec2, 2), make([]vec.Vec2, 2), []int{0}); err == nil {
 		t.Error("types length mismatch accepted")
 	}
-	if _, err := ICP(nil, nil, nil, Options{}); err == nil {
+	if _, err := ICP(nil, nil, nil); err == nil {
 		t.Error("empty configuration accepted")
 	}
-	if _, err := ICP(make([]vec.Vec2, 1), make([]vec.Vec2, 1), []int{-1}, Options{}); err == nil {
+	if _, err := ICP(make([]vec.Vec2, 1), make([]vec.Vec2, 1), []int{-1}); err == nil {
 		t.Error("negative type accepted")
 	}
 }
@@ -290,7 +394,7 @@ func TestICPTransformMapsOriginalOntoReference(t *testing.T) {
 	ref := randomCloud(r, n, 6)
 	g := Rigid{Theta: -0.9, T: vec.Vec2{X: 7, Y: -2}}
 	moving := g.ApplyAll(ref)
-	res, err := ICP(moving, ref, types, Options{})
+	res, err := ICP(moving, ref, types)
 	if err != nil {
 		t.Fatal(err)
 	}

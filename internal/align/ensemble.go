@@ -24,7 +24,6 @@ const (
 
 // FrameOptions configures AlignFrame.
 type FrameOptions struct {
-	ICP Options
 	// Reference selects the alignment anchor.
 	Reference Reference
 	// Workers bounds the parallelism; 0 means GOMAXPROCS.
@@ -74,7 +73,7 @@ func AlignFrame(frames [][]vec.Vec2, types []int, opt FrameOptions) ([][]vec.Vec
 		}
 		defer aligners.Put(al)
 		dst := make([]vec.Vec2, len(types))
-		if e := al.AlignReorderedInto(dst, frames[s], reference, types, opt.ICP); e != nil {
+		if e := al.AlignReorderedInto(dst, frames[s], reference, types); e != nil {
 			return fmt.Errorf("align: sample %d: %w", s, e)
 		}
 		out[s] = dst

@@ -5,47 +5,19 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/spatial"
 	"repro/internal/vec"
 )
 
-// Options configures the ICP alignment.
-type Options struct {
-	// MaxIterations bounds the ICP loop; 0 means the default (50).
-	MaxIterations int
-	// Tolerance stops the loop when the RMS correspondence distance
-	// improves by less than this between iterations; 0 means the
-	// default (1e-9).
-	Tolerance float64
-	// TypeScaleFactor sets the type-lift coordinate spacing as a
-	// multiple of the collective diameter (the paper: "a factor a
-	// magnitude larger than the diameter"); 0 means the default (10).
-	TypeScaleFactor float64
-	// Restarts is the number of initial rotations tried (evenly spaced
-	// in [0, 2π)); ICP converges to the nearest local optimum, so a few
-	// restarts make the alignment robust to large relative rotations.
-	// 0 means the default (8).
-	Restarts int
-	// BruteForceNN switches the correspondence search from the k-d tree
-	// to a linear scan; exposed for the ablation benchmark.
-	BruteForceNN bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 50
-	}
-	if o.Tolerance == 0 {
-		o.Tolerance = 1e-9
-	}
-	if o.TypeScaleFactor == 0 {
-		o.TypeScaleFactor = 10
-	}
-	if o.Restarts == 0 {
-		o.Restarts = 8
-	}
-	return o
-}
+// ICP loop parameters. The loop stops after maxIterations iterations or
+// when the RMS correspondence distance improves by less than tolerance
+// between iterations. ICP converges to the nearest local optimum, so it is
+// restarted from restarts initial rotations evenly spaced in [0, 2π) to
+// stay robust to large relative rotations.
+const (
+	maxIterations = 50
+	tolerance     = 1e-9
+	restarts      = 8
+)
 
 // Result reports an ICP alignment.
 type Result struct {
@@ -87,11 +59,10 @@ type Aligner struct {
 	rotated   []vec.Vec2
 	matched   []vec.Vec2
 	aligned   []vec.Vec2
-	refLifted []vec.Vec3
-	tree      spatial.KDTree3
-	brute     bool
+	refByType []vec.Vec2 // refByType[k] = ref[order[k]]
 	perm      []int
 	order     []int
+	runs      []typeRun
 	typeSort  typeSorter
 	pairs     []icpPair
 	pairSort  pairSorter
@@ -101,27 +72,31 @@ type Aligner struct {
 	movCentroid, refCentroid vec.Vec2
 }
 
+// typeRun is the half-open range [lo, hi) of one type's members in the
+// (type, index)-sorted particle order.
+type typeRun struct{ lo, hi int }
+
 // ICP aligns the moving configuration onto the reference configuration,
 // both with the same type multiset (same number of particles of each type),
 // and returns the recovered isometry, the aligned cloud, and a type-
 // respecting one-to-one correspondence.
 //
 // Both clouds are first centred (factoring out translation); each restart
-// then iterates nearest-neighbour correspondence in the type-lifted R³
-// against the rotation solved in closed form by Procrustes2D, until the RMS
-// stops improving. The restart with the lowest final matching cost wins.
-// The final permutation is produced by a greedy minimum-distance matching
+// then iterates same-type nearest-neighbour correspondence against the
+// rotation solved in closed form by Procrustes2D, until the RMS stops
+// improving. The restart with the lowest final matching cost wins. The
+// final permutation is produced by a greedy minimum-distance matching
 // within each type, which unlike raw nearest-neighbour output is guaranteed
 // to be a bijection.
-func ICP(moving, reference []vec.Vec2, types []int, opt Options) (Result, error) {
+func ICP(moving, reference []vec.Vec2, types []int) (Result, error) {
 	var a Aligner
-	return a.ICP(moving, reference, types, opt)
+	return a.ICP(moving, reference, types)
 }
 
 // ICP is the scratch-reusing form of the package-level ICP. The returned
 // Result's slices are freshly allocated and caller-owned.
-func (a *Aligner) ICP(moving, reference []vec.Vec2, types []int, opt Options) (Result, error) {
-	theta, iters, err := a.icp(moving, reference, types, opt)
+func (a *Aligner) ICP(moving, reference []vec.Vec2, types []int) (Result, error) {
+	theta, iters, err := a.icp(moving, reference, types)
 	if err != nil {
 		return Result{}, err
 	}
@@ -151,11 +126,11 @@ func (a *Aligner) ICP(moving, reference []vec.Vec2, types []int, opt Options) (R
 // Sec. 5.2). dst must have length len(reference). This is the zero-copy
 // path of the streaming observer accumulator: no intermediate Result is
 // materialised and, after scratch warm-up, the call is allocation-free.
-func (a *Aligner) AlignReorderedInto(dst []vec.Vec2, moving, reference []vec.Vec2, types []int, opt Options) error {
+func (a *Aligner) AlignReorderedInto(dst []vec.Vec2, moving, reference []vec.Vec2, types []int) error {
 	if len(dst) != len(reference) {
 		return fmt.Errorf("align: dst has %d slots, reference %d", len(dst), len(reference))
 	}
-	if _, _, err := a.icp(moving, reference, types, opt); err != nil {
+	if _, _, err := a.icp(moving, reference, types); err != nil {
 		return err
 	}
 	for j, i := range a.perm {
@@ -164,19 +139,36 @@ func (a *Aligner) AlignReorderedInto(dst []vec.Vec2, moving, reference []vec.Vec
 	return nil
 }
 
-// nearest answers a correspondence query against the lifted reference.
-func (a *Aligner) nearest(q vec.Vec3) (int, float64) {
-	if !a.brute {
-		return a.tree.Nearest(q)
+// nearest answers a correspondence query: it returns the reference
+// particle of particle i's type closest to p, and the squared distance.
+// The type's members are scanned in increasing index order and a candidate
+// replaces the best only when strictly closer, so ties go to the smaller
+// index.
+//
+// This is the paper's type-lifted search (Sec. 5.2) without the lift. The
+// paper appends the type, scaled by a factor a magnitude larger than the
+// diameter, as a third coordinate so that matching never crosses types.
+// With both clouds centred, a same-type candidate is within one diameter
+// while a cross-type one is at least ten diameters away on that axis
+// alone, so the lifted nearest neighbour is always the same-type one; and
+// for a same-type pair the lifted coordinate differs by exactly zero, so
+// the squared distance is the same float.
+func (a *Aligner) nearest(i int, p vec.Vec2) (int, float64) {
+	r := a.runs[i]
+	best, bestD2 := r.lo, p.Dist2(a.refByType[r.lo])
+	for k := r.lo + 1; k < r.hi; k++ {
+		if d2 := p.Dist2(a.refByType[k]); d2 < bestD2 {
+			best, bestD2 = k, d2
+		}
 	}
-	return spatial.BruteNearest3(a.refLifted, q)
+	return a.order[best], bestD2
 }
 
 // icp runs the full alignment into the scratch buffers: afterwards
 // a.aligned holds the rotated moving cloud (original particle order) and
 // a.perm the type-respecting bijection. It returns the winning rotation
 // angle and the total iteration count.
-func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (float64, int, error) {
+func (a *Aligner) icp(moving, reference []vec.Vec2, types []int) (float64, int, error) {
 	if len(moving) != len(reference) {
 		return 0, 0, fmt.Errorf("align: moving has %d points, reference %d", len(moving), len(reference))
 	}
@@ -189,28 +181,13 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 	if err := checkTypeMultiset(types); err != nil {
 		return 0, 0, err
 	}
-	opt = opt.withDefaults()
 
 	a.mov = append(a.mov[:0], moving...)
 	a.ref = append(a.ref[:0], reference...)
 	a.movCentroid = vec.Center(a.mov)
 	a.refCentroid = vec.Center(a.ref)
 	mov, ref := a.mov, a.ref
-
-	diameter := 2 * math.Max(vec.Radius(mov), vec.Radius(ref))
-	if diameter == 0 {
-		diameter = 1
-	}
-	typeScale := opt.TypeScaleFactor * diameter
-
-	a.refLifted = a.refLifted[:0]
-	for i, p := range ref {
-		a.refLifted = append(a.refLifted, vec.Vec3{X: p.X, Y: p.Y, Z: float64(types[i]) * typeScale})
-	}
-	a.brute = opt.BruteForceNN
-	if !a.brute {
-		a.tree.Rebuild(a.refLifted)
-	}
+	a.groupByType(ref, types)
 
 	bestTheta, bestCost := 0.0, math.Inf(1)
 	totalIters := 0
@@ -218,20 +195,19 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 	a.rotated = growVec2(a.rotated, len(mov))
 	matched, rotated := a.matched, a.rotated
 
-	for restart := 0; restart < opt.Restarts; restart++ {
-		theta := 2 * math.Pi * float64(restart) / float64(opt.Restarts)
+	for restart := 0; restart < restarts; restart++ {
+		theta := 2 * math.Pi * float64(restart) / restarts
 		prevRMS := math.Inf(1)
-		for iter := 0; iter < opt.MaxIterations; iter++ {
+		for iter := 0; iter < maxIterations; iter++ {
 			totalIters++
 			for i, p := range mov {
 				rotated[i] = p.Rotate(theta)
 			}
-			// Correspondence in the lifted space.
 			var sumD2 float64
 			for i, p := range rotated {
-				j, _ := a.nearest(vec.Vec3{X: p.X, Y: p.Y, Z: float64(types[i]) * typeScale})
+				j, d2 := a.nearest(i, p)
 				matched[i] = ref[j]
-				sumD2 += p.Dist2(ref[j])
+				sumD2 += d2
 			}
 			rms := math.Sqrt(sumD2 / float64(len(mov)))
 			// Re-solve the rotation against the current matches.
@@ -240,7 +216,7 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 			// centred and the matching is (near-)balanced.
 			delta := Procrustes2D(rotated, matched)
 			theta += delta.Theta
-			if prevRMS-rms < opt.Tolerance {
+			if prevRMS-rms < tolerance {
 				break
 			}
 			prevRMS = rms
@@ -248,8 +224,7 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 		// Score this restart by its final matching cost.
 		var cost float64
 		for i, p := range mov {
-			q := p.Rotate(theta)
-			_, d2 := a.nearest(vec.Vec3{X: q.X, Y: q.Y, Z: float64(types[i]) * typeScale})
+			_, d2 := a.nearest(i, p.Rotate(theta))
 			cost += d2
 		}
 		if cost < bestCost {
@@ -261,7 +236,7 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 	for i, p := range mov {
 		a.aligned[i] = p.Rotate(bestTheta)
 	}
-	a.matchByType(a.aligned, ref, types)
+	a.matchByType(a.aligned, ref)
 	return bestTheta, totalIters, nil
 }
 
@@ -316,6 +291,33 @@ func (s *typeSorter) Less(a, b int) bool {
 	return s.idx[a] < s.idx[b]
 }
 
+// groupByType sorts the particle indices by (type, index) into a.order,
+// records each particle's type run in a.runs, and lays the reference cloud
+// out in that order in a.refByType, so every type's members are one
+// contiguous run scanned in increasing index order.
+func (a *Aligner) groupByType(ref []vec.Vec2, types []int) {
+	n := len(types)
+	a.order = growInt(a.order, n)
+	for i := range a.order {
+		a.order[i] = i
+	}
+	a.typeSort = typeSorter{idx: a.order, types: types}
+	sort.Sort(&a.typeSort)
+	a.runs = growRuns(a.runs, n)
+	a.refByType = growVec2(a.refByType, n)
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && types[a.order[hi]] == types[a.order[lo]] {
+			hi++
+		}
+		for k := lo; k < hi; k++ {
+			a.runs[a.order[k]] = typeRun{lo, hi}
+			a.refByType[k] = ref[a.order[k]]
+		}
+		lo = hi
+	}
+}
+
 // matchByType produces a type-respecting bijection between the moving and
 // reference clouds into a.perm: perm[j] = i. Within each type it runs a
 // greedy minimum-distance matching (repeatedly pairing the globally closest
@@ -323,23 +325,14 @@ func (s *typeSorter) Less(a, b int) bool {
 // strict improvement over the raw many-to-one nearest-neighbour output of
 // the ICP correspondence step. Types are processed in increasing order; the
 // result is identical to any other order because the per-type matchings
-// write disjoint permutation slots.
-func (a *Aligner) matchByType(moving, reference []vec.Vec2, types []int) {
+// write disjoint permutation slots. It reuses the grouping of groupByType.
+func (a *Aligner) matchByType(moving, reference []vec.Vec2) {
 	n := len(moving)
 	a.perm = growInt(a.perm, n)
-	a.order = growInt(a.order, n)
-	for i := range a.order {
-		a.order[i] = i
-	}
-	a.typeSort = typeSorter{idx: a.order, types: types}
-	sort.Sort(&a.typeSort)
 	a.usedI = growBool(a.usedI, n)
 	a.usedJ = growBool(a.usedJ, n)
 	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && types[a.order[hi]] == types[a.order[lo]] {
-			hi++
-		}
+		hi := a.runs[a.order[lo]].hi
 		idx := a.order[lo:hi] // one type's members, in increasing index order
 		lo = hi
 		a.pairs = a.pairs[:0]
@@ -375,6 +368,13 @@ func growVec2(s []vec.Vec2, n int) []vec.Vec2 {
 func growInt(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
+	}
+	return s[:n]
+}
+
+func growRuns(s []typeRun, n int) []typeRun {
+	if cap(s) < n {
+		return make([]typeRun, n)
 	}
 	return s[:n]
 }

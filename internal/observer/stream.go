@@ -206,7 +206,7 @@ func (a *Accumulator) Add(s, t int, pos []vec.Vec2) error {
 			sc.row = make([]vec.Vec2, len(pos))
 		}
 		sc.row = sc.row[:len(pos)]
-		if err := sc.al.AlignReorderedInto(sc.row, pos, a.refs[t], a.types, a.cfg.Align.ICP); err != nil {
+		if err := sc.al.AlignReorderedInto(sc.row, pos, a.refs[t], a.types); err != nil {
 			return fmt.Errorf("observer: sample %d frame %d: %w", s, t, err)
 		}
 	}

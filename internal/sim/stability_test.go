@@ -45,14 +45,23 @@ func TestStiffSystemStableAtSuggestedDt(t *testing.T) {
 	}
 	good := build(MaxStableDt(4, 30))
 	good.Run(2000)
-	if r := vec.Radius(good.Positions()); r > 12 {
+	if r := radius(good.Positions()); r > 12 {
 		t.Fatalf("stable step dispersed the collective to radius %v", r)
 	}
 	bad := build(MaxStableDt(4, 30) * 40)
 	bad.Run(1000)
-	if r := vec.Radius(bad.Positions()); r < 12 {
+	if r := radius(bad.Positions()); r < 12 {
 		t.Fatalf("expected the oversized step to destabilise the collective, radius %v", r)
 	}
+}
+
+// radius returns the largest distance of any point from the origin.
+func radius(points []vec.Vec2) float64 {
+	var r float64
+	for _, p := range points {
+		r = math.Max(r, p.Norm())
+	}
+	return r
 }
 
 // TestDtHalvingConsistency checks integrator convergence: a noise-free

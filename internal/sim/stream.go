@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/rngx"
@@ -162,15 +163,59 @@ func streamRange(ctx context.Context, ec EnsembleConfig, lo, hi int, visit Frame
 	return res, nil
 }
 
-// streamSample runs one sample and emits its recorded frames. ec must be
+// DivergedError reports a sample whose integration blew up: a recorded
+// frame held a position coordinate that is not finite or exceeds
+// maxCoordinate. It typically means forces or a time step far beyond
+// MaxStableDt.
+type DivergedError struct {
+	// Sample is the ensemble sample index.
+	Sample int
+	// Step is the integrator step of the first diverged recorded frame.
+	Step int
+}
+
+// Error omits the sample: the stream wraps every sample's error with its
+// index.
+func (e *DivergedError) Error() string {
+	return fmt.Sprintf("sim: diverged at step %d: positions non-finite or beyond ±%g", e.Step, maxCoordinate)
+}
+
+// maxCoordinate bounds the position coordinates of a recorded frame.
+// Collectives span tens of units, so a coordinate beyond it means the run
+// has blown up; and past it the squared distances and sums that alignment
+// and estimation form over a frame overflow to ±Inf or NaN while the
+// positions themselves are still finite. Below it, (2·maxCoordinate)²
+// summed over millions of particles stays finite.
+const maxCoordinate = 1e150
+
+// diverged reports whether some coordinate is not finite or exceeds
+// maxCoordinate in magnitude.
+func diverged(pos []vec.Vec2) bool {
+	for _, p := range pos {
+		// Written so that NaN, which fails every comparison, counts.
+		if !(math.Abs(p.X) <= maxCoordinate && math.Abs(p.Y) <= maxCoordinate) {
+			return true
+		}
+	}
+	return false
+}
+
+// streamSample runs one sample and emits its recorded frames, stopping
+// with a *DivergedError at the first diverged frame. ec must be
 // normalized.
 func streamSample(ec EnsembleConfig, s int, visit FrameVisitor) error {
 	sys, err := New(ec.Sim, rngx.Split(ec.Seed, uint64(s)))
 	if err != nil {
 		return err
 	}
+	emit := func(f Frame) error {
+		if diverged(f.Pos) {
+			return &DivergedError{Sample: f.Sample, Step: f.Step}
+		}
+		return visit(f)
+	}
 	idx := 0
-	if err := visit(Frame{Sample: s, Index: 0, Step: 0, Pos: sys.PositionsRef()}); err != nil {
+	if err := emit(Frame{Sample: s, Index: 0, Step: 0, Pos: sys.PositionsRef()}); err != nil {
 		return err
 	}
 	equilibrated := false
@@ -186,7 +231,7 @@ func streamSample(ec EnsembleConfig, s int, visit FrameVisitor) error {
 				f.Final = true
 				f.Equilibrated = equilibrated
 			}
-			if err := visit(f); err != nil {
+			if err := emit(f); err != nil {
 				return err
 			}
 		}

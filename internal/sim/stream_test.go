@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -241,6 +242,24 @@ func TestCollectorReproducesRunEnsemble(t *testing.T) {
 		if !reflect.DeepEqual(got.Trajs[s].Times, ens.Trajs[s].Times) ||
 			!reflect.DeepEqual(got.Trajs[s].Frames, ens.Trajs[s].Frames) {
 			t.Fatalf("collector trajectory %d differs from RunEnsemble", s)
+		}
+	}
+}
+
+func TestDivergedBound(t *testing.T) {
+	for _, c := range []struct {
+		p    vec.Vec2
+		want bool
+	}{
+		{vec.Vec2{X: 3, Y: -4}, false},
+		{vec.Vec2{X: -maxCoordinate, Y: maxCoordinate}, false},
+		{vec.Vec2{X: 2 * maxCoordinate}, true},
+		{vec.Vec2{Y: -1e199}, true},
+		{vec.Vec2{X: math.Inf(-1)}, true},
+		{vec.Vec2{Y: math.NaN()}, true},
+	} {
+		if got := diverged([]vec.Vec2{{X: 1, Y: 1}, c.p}); got != c.want {
+			t.Errorf("diverged(%v) = %t, want %t", c.p, got, c.want)
 		}
 	}
 }

@@ -1,7 +1,6 @@
-// Package spatial provides the neighbour-search substrates of the
-// repository: two uniform cell-list grids for the simulator's fixed-radius
-// queries (the N_rc(i) neighbourhoods of Eq. 6) and a k-d tree for the
-// nearest-neighbour correspondences of the ICP alignment stage.
+// Package spatial provides the simulator's neighbour-search substrates:
+// two uniform cell-list grids for its fixed-radius queries (the N_rc(i)
+// neighbourhoods of Eq. 6).
 //
 // The two grids trade memory for rebuild cost. DenseGrid lays cells out in
 // a flat CSR array over the point set's bounding box and recycles its

@@ -2,7 +2,5 @@ package spatial
 
 import "repro/internal/vec"
 
-// v2 and v3 are keyed-literal shorthands for test fixtures.
+// v2 is a keyed-literal shorthand for test fixtures.
 func v2(x, y float64) vec.Vec2 { return vec.Vec2{X: x, Y: y} }
-
-func v3(x, y, z float64) vec.Vec3 { return vec.Vec3{X: x, Y: y, Z: z} }

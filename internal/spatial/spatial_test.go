@@ -116,106 +116,3 @@ func TestBruteNeighborsInfiniteRadius(t *testing.T) {
 		t.Fatalf("rc=inf should return all others, got %v", got)
 	}
 }
-
-func liftPoints(ps []vec.Vec2, z float64) []vec.Vec3 {
-	out := make([]vec.Vec3, len(ps))
-	for i, p := range ps {
-		out[i] = vec.Vec3{X: p.X, Y: p.Y, Z: z}
-	}
-	return out
-}
-
-// Property: k-d tree nearest neighbour agrees with brute force on random
-// inputs, including queries far outside the point cloud.
-func TestKDTreeMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewPCG(5, 6))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + r.IntN(200)
-		pts := make([]vec.Vec3, n)
-		for i := range pts {
-			pts[i] = vec.Vec3{
-				X: (r.Float64() - 0.5) * 20,
-				Y: (r.Float64() - 0.5) * 20,
-				Z: float64(r.IntN(4)) * 100,
-			}
-		}
-		tree := NewKDTree3(pts)
-		if tree.Len() != n {
-			t.Fatalf("tree has %d nodes, want %d", tree.Len(), n)
-		}
-		for q := 0; q < 50; q++ {
-			query := vec.Vec3{
-				X: (r.Float64() - 0.5) * 60,
-				Y: (r.Float64() - 0.5) * 60,
-				Z: float64(r.IntN(4)) * 100,
-			}
-			gi, gd := tree.Nearest(query)
-			_, bd := BruteNearest3(pts, query)
-			// Indices may differ under exact ties; distances must
-			// agree exactly.
-			if gd != bd {
-				t.Fatalf("trial %d: tree dist %v, brute dist %v", trial, gd, bd)
-			}
-			if pts[gi].Dist2(query) != gd {
-				t.Fatal("returned index inconsistent with returned distance")
-			}
-		}
-	}
-}
-
-func TestKDTreeSinglePoint(t *testing.T) {
-	tree := NewKDTree3([]vec.Vec3{v3(1, 2, 3)})
-	i, d2 := tree.Nearest(v3(1, 2, 4))
-	if i != 0 || d2 != 1 {
-		t.Fatalf("Nearest = %d, %v", i, d2)
-	}
-}
-
-func TestKDTreeDuplicatePoints(t *testing.T) {
-	pts := []vec.Vec3{v3(1, 1, 0), v3(1, 1, 0), v3(2, 2, 0)}
-	tree := NewKDTree3(pts)
-	i, d2 := tree.Nearest(v3(1, 1, 0))
-	if d2 != 0 {
-		t.Fatalf("exact duplicate query: d2 = %v", d2)
-	}
-	if i != 0 && i != 1 {
-		t.Fatalf("unexpected index %d", i)
-	}
-}
-
-func TestKDTreeEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Nearest on empty tree should panic")
-		}
-	}()
-	NewKDTree3(nil).Nearest(vec.Vec3{})
-}
-
-func TestKDTreeTypeLiftSeparation(t *testing.T) {
-	// With a type lift much larger than the spatial extent, the nearest
-	// neighbour of a lifted query is always a point of the same type,
-	// even when another type's point is spatially closer — the property
-	// the ICP alignment relies on.
-	r := rand.New(rand.NewPCG(7, 8))
-	spatialPts := randomPoints(r, 50, 10)
-	var lifted []vec.Vec3
-	types := make([]int, 50)
-	for i, p := range spatialPts {
-		types[i] = i % 3
-		lifted = append(lifted, vec.Vec3{X: p.X, Y: p.Y, Z: float64(types[i]) * 1000})
-	}
-	tree := NewKDTree3(lifted)
-	for q := 0; q < 200; q++ {
-		qt := q % 3
-		query := vec.Vec3{
-			X: (r.Float64() - 0.5) * 10,
-			Y: (r.Float64() - 0.5) * 10,
-			Z: float64(qt) * 1000,
-		}
-		i, _ := tree.Nearest(query)
-		if types[i] != qt {
-			t.Fatalf("nearest crossed types: query type %d matched point of type %d", qt, types[i])
-		}
-	}
-}

@@ -35,7 +35,12 @@ func PipelineFingerprint(id string, p experiment.Pipeline) (fp uint64, ok bool) 
 	fmt.Fprintf(h, "ens|%d|%d|%d|%d|", ec.M, ec.Steps, ec.RecordEvery, ec.Seed)
 	s := ec.Sim
 	fmt.Fprintf(h, "sim|%d|%v|%g|%g|%g|%g|%g|%d|", s.N, s.Types, s.Cutoff, s.Dt, s.NoiseVariance, s.InitRadius, s.EquilibriumThreshold, s.EquilibriumWindow)
-	fmt.Fprintf(h, "obs|%+v|", p.Observer)
+	// The observer clause spells out the bytes an earlier release wrote
+	// with %+v of observer.Config, when the alignment options still
+	// carried five (always zero) ICP knobs.
+	o := p.Observer
+	fmt.Fprintf(h, "obs|{Align:{ICP:{MaxIterations:0 Tolerance:0 TypeScaleFactor:0 Restarts:0 BruteForceNN:false} Reference:%d Workers:%d} KMeansK:%d Seed:%d SkipAlign:%t}|",
+		o.Align.Reference, o.Align.Workers, o.KMeansK, o.Seed, o.SkipAlign)
 	fmt.Fprintf(h, "force|%+v", fspec)
 	// The approximate tier changes the numbers, so it keys the
 	// fingerprint — but only when enabled: exact-tier pipelines (tier

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/align"
 	"repro/internal/experiment"
 	"repro/internal/forces"
 	"repro/internal/observer"
@@ -142,7 +143,10 @@ func TestPipelineRoundTrip(t *testing.T) {
 // inline here), so checkpoints written by earlier releases keep
 // verifying. If this test fails, existing checkpoint directories are
 // silently invalidated — bump the checkpoint file version instead of
-// changing the recipe.
+// changing the recipe. The observer clause is spelled out as the literal
+// %+v of the legacy observer.Config, whose alignment options carried five
+// ICP knobs since removed; pipeline "c" sets every remaining observer
+// field, so each one's formatting is pinned.
 func TestFingerprintMatchesLegacyCheckpointKey(t *testing.T) {
 	legacy := func(id string, p experiment.Pipeline) (uint64, bool) {
 		fspec, err := forces.ToSpec(p.Ensemble.Sim.Force)
@@ -155,7 +159,9 @@ func TestFingerprintMatchesLegacyCheckpointKey(t *testing.T) {
 		fmt.Fprintf(h, "ens|%d|%d|%d|%d|", ec.M, ec.Steps, ec.RecordEvery, ec.Seed)
 		s := ec.Sim
 		fmt.Fprintf(h, "sim|%d|%v|%g|%g|%g|%g|%g|%d|", s.N, s.Types, s.Cutoff, s.Dt, s.NoiseVariance, s.InitRadius, s.EquilibriumThreshold, s.EquilibriumWindow)
-		fmt.Fprintf(h, "obs|%+v|", p.Observer)
+		o := p.Observer
+		fmt.Fprintf(h, "obs|{Align:{ICP:{MaxIterations:0 Tolerance:0 TypeScaleFactor:0 Restarts:0 BruteForceNN:false} Reference:%d Workers:%d} KMeansK:%d Seed:%d SkipAlign:%t}|",
+			o.Align.Reference, o.Align.Workers, o.KMeansK, o.Seed, o.SkipAlign)
 		fmt.Fprintf(h, "force|%+v", fspec)
 		return h.Sum64(), true
 	}
@@ -163,6 +169,8 @@ func TestFingerprintMatchesLegacyCheckpointKey(t *testing.T) {
 		{Name: "a", Ensemble: sim.EnsembleConfig{Sim: fig4ish(), M: 32, Steps: 40, RecordEvery: 20, Seed: 7}},
 		{Name: "b", Estimator: experiment.EstKernel, Bins: 6, TrackEntropies: true,
 			Ensemble: sim.EnsembleConfig{Sim: fig4ish(), M: 16, Steps: 10, RecordEvery: 5, Seed: 1}},
+		{Name: "c", Ensemble: sim.EnsembleConfig{Sim: fig4ish(), M: 8, Steps: 10, RecordEvery: 5, Seed: 3},
+			Observer: observer.Config{Align: align.FrameOptions{Reference: align.RefMedoid}, KMeansK: 4, Seed: 11, SkipAlign: true}},
 	}
 	for i, p := range pipelines {
 		id := fmt.Sprintf("run-%d", i)

@@ -1,10 +1,8 @@
 // Package vec provides the small fixed-dimension vector algebra used by the
 // particle simulator and the shape-alignment pipeline.
 //
-// Vec2 is the workhorse: particle positions, velocities and forces all live
-// in the Euclidean plane. Vec3 exists solely for the type-lifted point clouds
-// used by the ICP alignment (Sec. 5.2 of the paper), where the third
-// coordinate encodes the particle type.
+// Particle positions, velocities and forces all live in the Euclidean
+// plane as Vec2.
 package vec
 
 import "math"
@@ -102,19 +100,6 @@ func Center(points []Vec2) Vec2 {
 	return c
 }
 
-// Radius returns the maximum distance of any point from the origin. It is
-// used to size the type-lift in the ICP alignment and to track the expansion
-// of a collective.
-func Radius(points []Vec2) float64 {
-	var r2 float64
-	for _, p := range points {
-		if n2 := p.Norm2(); n2 > r2 {
-			r2 = n2
-		}
-	}
-	return math.Sqrt(r2)
-}
-
 // BoundingBox returns the axis-aligned bounding box (min, max) of the points.
 // It returns zero vectors for an empty slice.
 func BoundingBox(points []Vec2) (min, max Vec2) {
@@ -138,33 +123,3 @@ func BoundingBox(points []Vec2) (min, max Vec2) {
 	}
 	return min, max
 }
-
-// Vec3 is a point in R³, used for the type-lifted point clouds of the ICP
-// alignment stage.
-type Vec3 struct {
-	X, Y, Z float64
-}
-
-// Add returns v + u.
-func (v Vec3) Add(u Vec3) Vec3 { return Vec3{v.X + u.X, v.Y + u.Y, v.Z + u.Z} }
-
-// Sub returns v - u.
-func (v Vec3) Sub(u Vec3) Vec3 { return Vec3{v.X - u.X, v.Y - u.Y, v.Z - u.Z} }
-
-// Scale returns s·v.
-func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v.X, s * v.Y, s * v.Z} }
-
-// Dot returns the inner product ⟨v, u⟩.
-func (v Vec3) Dot(u Vec3) float64 { return v.X*u.X + v.Y*u.Y + v.Z*u.Z }
-
-// Norm returns the Euclidean length ‖v‖₂.
-func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// Norm2 returns the squared Euclidean length.
-func (v Vec3) Norm2() float64 { return v.Dot(v) }
-
-// Dist2 returns the squared Euclidean distance ‖v−u‖₂².
-func (v Vec3) Dist2(u Vec3) float64 { return v.Sub(u).Norm2() }
-
-// XY projects the lifted point back to the plane.
-func (v Vec3) XY() Vec2 { return Vec2{v.X, v.Y} }

@@ -37,6 +37,9 @@ type (
 	// UnknownEstimatorError reports an estimator kind outside
 	// ValidEstimators.
 	UnknownEstimatorError = experiment.UnknownEstimatorError
+	// DivergedError reports a sample whose simulation blew up to
+	// non-finite (or overflowing) positions, with its sample and step.
+	DivergedError = sim.DivergedError
 	// ProgressEvent is one unit of observable progress (sample simulated,
 	// step estimated, run checkpointed/done) delivered to Session
 	// subscribers.

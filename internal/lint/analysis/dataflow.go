@@ -3,8 +3,8 @@ package analysis
 // This file is the dataflow half of the flow-sensitive layer: a small
 // iterative worklist solver over the CFG, parameterized by direction and
 // by the lattice join (union for may-analyses, intersection for
-// must-analyses), plus the two instantiations the sopslint analyzers
-// use — a boolean must-reach query and a tainted-variable set.
+// must-analyses), the tainted-variable set the taint engine solves
+// with it, and the must-reach search over paths from a node.
 
 import (
 	"go/ast"
@@ -121,62 +121,95 @@ func Solve[F any](c *CFG, p Problem[F]) map[*Block]F {
 // unwinding) as satisfied. An unreachable Exit (e.g. an infinite loop)
 // reports false: nothing is guaranteed about paths that never finish.
 func (c *CFG) MustReachExit(pred func(ast.Node) bool) bool {
+	return c.MustReachFrom(c.Entry, -1, pred)
+}
+
+// MustReachFrom is MustReachExit for paths that start just after node i
+// of block b (i = -1 starts at the top of b). A path ends at Exit or when
+// a loop brings it back round to the start point; every path must pass
+// pred before it ends, and at least one must end.
+func (c *CFG) MustReachFrom(b *Block, i int, pred func(ast.Node) bool) bool {
 	for _, d := range c.Defers {
 		if pred(d) || pred(d.Call) {
 			return true
 		}
 	}
-	type fact struct{ ok, reached bool }
-	res := Solve(c, Problem[fact]{
-		Dir:      Forward,
-		Boundary: fact{ok: false, reached: true},
-		Merge: func(a, b fact) fact {
-			return fact{ok: a.ok && b.ok, reached: a.reached || b.reached}
-		},
-		Equal: func(a, b fact) bool { return a == b },
-		Transfer: func(b *Block, in fact) fact {
-			if in.ok || b.Terminal {
-				return fact{ok: true, reached: true}
+	matches := func(nodes []ast.Node) bool {
+		for _, n := range nodes {
+			if matchNode(n, pred) {
+				return true
 			}
-			for _, n := range b.Nodes {
-				if matchNode(n, pred) {
-					return fact{ok: true, reached: true}
-				}
-			}
-			return in
-		},
-	})
-	f, ok := res[c.Exit]
-	if !ok {
+		}
 		return false
 	}
-	// The fact at Exit's IN side is the merge over all paths; but the
-	// Exit block itself has no nodes, so IN is the answer.
-	return f.ok
-}
-
-// matchNode applies pred to n and, for statements, to the direct
-// expressions they carry, so a predicate written against calls or
-// receives fires whether the node is the bare expression or the
-// statement wrapping it.
-func matchNode(n ast.Node, pred func(ast.Node) bool) bool {
-	if pred(n) {
-		return true
+	// Search (block, satisfied-so-far) states depth first: an
+	// unsatisfied state at an end point is a counterexample path.
+	type state struct {
+		blk *Block
+		ok  bool
 	}
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
+	var work []state
+	follow := func(from *Block, ok bool) {
+		for _, s := range from.Succs {
+			work = append(work, state{s, ok})
+		}
+	}
+	follow(b, b.Terminal || matches(b.Nodes[i+1:]))
+	seen := map[state]bool{}
+	ended := false
+	for len(work) > 0 {
+		s := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		switch s.blk {
+		case c.Exit:
+		case b: // round a loop: b's prefix runs, then the start point
+			s.ok = s.ok || matches(b.Nodes[:i+1])
+		default:
+			follow(s.blk, s.ok || s.blk.Terminal || matches(s.blk.Nodes))
+			continue
+		}
+		if !s.ok {
 			return false
 		}
-		if _, isLit := m.(*ast.FuncLit); isLit {
-			return false // other units' bodies are not this path
-		}
-		if m != nil && pred(m) {
-			found = true
-		}
+		ended = true
+	}
+	return ended
+}
+
+// matchNode applies pred to n and to the sub-nodes InspectNode visits, so
+// a predicate written against calls or receives fires whether the node is
+// the bare expression or the statement wrapping it.
+func matchNode(n ast.Node, pred func(ast.Node) bool) bool {
+	found := false
+	InspectNode(n, func(m ast.Node) bool {
+		found = found || pred(m)
 		return !found
 	})
 	return found
+}
+
+// InspectNode walks one CFG node and its sub-nodes in ast.Inspect order,
+// skipping what runs elsewhere: function literal bodies (other units) and
+// a range statement's body (its own blocks; the head node only binds the
+// key and value).
+func InspectNode(n ast.Node, visit func(ast.Node) bool) {
+	var skip ast.Node
+	ast.Inspect(n, func(m ast.Node) bool {
+		if m == nil || m == skip {
+			return false
+		}
+		switch m := m.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.RangeStmt:
+			skip = m.Body
+		}
+		return visit(m)
+	})
 }
 
 // TaintVal is the per-variable fact of the taint analyses: a bitmask of

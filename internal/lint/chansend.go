@@ -147,3 +147,25 @@ func unbufferedMake(pass *analysis.Pass, fd *ast.FuncDecl, obj types.Object) boo
 	})
 	return made
 }
+
+// pathTo returns the ancestor chain from root down to target inclusive,
+// or nil.
+func pathTo(root ast.Node, target ast.Node) []ast.Node {
+	var stack, found []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if found != nil {
+			return false
+		}
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		if n == target {
+			found = append([]ast.Node(nil), stack...)
+			return false
+		}
+		return true
+	})
+	return found
+}

@@ -43,7 +43,7 @@ var Goroleak = &analysis.Analyzer{
 }
 
 func runGoroleak(pass *analysis.Pass) error {
-	cfgs := analysis.NewCFGs(terminalForCFG)
+	cfgs := cfgsFor(pass)
 	for _, f := range pass.SourceFiles() {
 		for _, u := range analysis.Units(f) {
 			u := u

@@ -11,11 +11,11 @@
 // repository at zero diagnostics.
 //
 // The syntax-shape analyzers work on the AST directly; walltime,
-// dettaint, goroleak and chansend sit on the flow-sensitive layer in
-// internal/lint/analysis — a per-function CFG, a worklist dataflow
-// solver, and one-level call summaries — so sanctioned idioms
-// (collect-sort-iterate, deferred Done on all paths, Duration
-// instrumentation columns) pass without annotation.
+// dettaint, goroleak, chansend and tokenpair sit on the flow-sensitive
+// layer in internal/lint/analysis — a per-function CFG, a worklist
+// dataflow solver, and one-level call summaries — so sanctioned idioms
+// (collect-sort-iterate, deferred Done or Release on all paths,
+// Duration instrumentation columns) pass without annotation.
 //
 // Analysis is modular across packages: before any analyzer runs on a
 // package, ExportFacts publishes that package's gob-serialized facts

@@ -149,7 +149,7 @@ func exportTaintFacts(pass *analysis.Pass) {
 func newTaintEngine(pass *analysis.Pass) *taintEngine {
 	e := &taintEngine{
 		pass:  pass,
-		cfgs:  analysis.NewCFGs(terminalForCFG),
+		cfgs:  cfgsFor(pass),
 		decls: map[*types.Func]*ast.FuncDecl{},
 	}
 	e.decls = analysis.LocalDecls(pass.Pkg)
@@ -158,10 +158,6 @@ func newTaintEngine(pass *analysis.Pass) *taintEngine {
 	})
 	return e
 }
-
-// terminalForCFG adapts the suite's terminal-call test to the CFG
-// builder (panic is handled by the builder itself).
-func terminalForCFG(call *ast.CallExpr) bool { return isTerminalCall(call) }
 
 // summarize computes one declaration's summary: seed every parameter
 // with its bit, run the flow, union the returns.

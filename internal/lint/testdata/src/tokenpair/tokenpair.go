@@ -79,5 +79,72 @@ func PanicPath(tok *workpool.Tokens) {
 	tok.Release()
 }
 
+// ReleaseAfterBreak holds the token across a loop left by break and
+// releases after it: the break lands on the release. Allowed.
+func ReleaseAfterBreak(tok *workpool.Tokens, items []int) {
+	tok.Acquire()
+	for _, it := range items {
+		if it < 0 {
+			break
+		}
+		work()
+	}
+	tok.Release()
+}
+
+// PairInLoopBody acquires and releases once per iteration, the shape of
+// the repository's step workers. Allowed.
+func PairInLoopBody(ctx context.Context, tok *workpool.Tokens, items []int) error {
+	for range items {
+		if err := tok.AcquireCtx(ctx); err != nil {
+			return err
+		}
+		work()
+		tok.Release()
+	}
+	return nil
+}
+
+// ContinueBeforeRelease skips the release: the next iteration acquires
+// again, or the loop ends, still holding.
+func ContinueBeforeRelease(tok *workpool.Tokens, items []int) {
+	for _, it := range items {
+		tok.Acquire() // want "not released on every path"
+		if it < 0 {
+			continue
+		}
+		tok.Release()
+	}
+}
+
+// ReacquireWhileHeld never reaches the exit, but its continue path
+// comes back round to the acquire still holding.
+func ReacquireWhileHeld(tok *workpool.Tokens) {
+	for {
+		tok.Acquire() // want "not released on every path"
+		if mode() {
+			continue
+		}
+		tok.Release()
+	}
+}
+
+// WorkerForever pairs inside a loop that never exits. Allowed.
+func WorkerForever(tok *workpool.Tokens) {
+	for {
+		tok.Acquire()
+		work()
+		tok.Release()
+	}
+}
+
+// ReleaseOnlyInLoop releases inside a loop that may run zero times.
+func ReleaseOnlyInLoop(tok *workpool.Tokens, items []int) {
+	tok.Acquire() // want "not released on every path"
+	for range items {
+		tok.Release()
+	}
+}
+
 func work()      {}
 func mode() bool { return false }

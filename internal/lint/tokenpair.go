@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"repro/internal/lint/analysis"
@@ -15,90 +16,106 @@ import (
 // every in-flight run, and a leaked-on-error token is precisely how a
 // cancelled sweep would deadlock its siblings. The analyzer accepts a
 // `defer tok.Release()` anywhere in the function, or a Release on every
-// control-flow path after a successful acquire. The error return of
-// AcquireCtx holds no token, so the canonical
+// CFG path from the acquire to the function's exit or, in a loop, back
+// round to the acquire. The error return of AcquireCtx holds no token:
+// when the acquire's block ends in the branch on `err != nil` (or
+// `err == nil`), the paths start at the no-error successor, so the
+// canonical
 //
 //	if err := tok.AcquireCtx(ctx); err != nil { return err }
 //
-// form starts the held region after the if statement.
+// form holds nothing on its error branch.
 //
-// The path analysis is intentionally conservative: loops guarantee
-// nothing (they may run zero times), break/goto while holding counts as
-// a leak, and panics/os.Exit are treated as non-leaking (the process is
+// The path analysis runs on the shared CFG layer (MustReachFrom): loops
+// may run zero times, break and continue are followed to their targets,
+// and panics/os.Exit are treated as non-leaking (the process is
 // unwinding). False positives carry a //sopslint:ignore tokenpair
 // directive with the argument for why the pairing holds.
 var TokenPair = &analysis.Analyzer{
 	Name: "tokenpair",
-	Doc:  "flag workpool.Tokens.Acquire/AcquireCtx calls without a Release on some path (defer-or-all-branches)",
+	Doc:  "flag workpool.Tokens.Acquire/AcquireCtx calls without a Release on some path (defer-or-all-paths)",
 	Run:  runTokenPair,
 }
 
 func runTokenPair(pass *analysis.Pass) error {
+	cfgs := cfgsFor(pass)
 	for _, f := range pass.SourceFiles() {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					checkTokenFunc(pass, fn.Body)
+		for _, u := range analysis.Units(f) {
+			cfg := cfgs.For(u.Body())
+			for _, blk := range cfg.Blocks {
+				for i, n := range blk.Nodes {
+					analysis.InspectNode(n, func(m ast.Node) bool {
+						if call, ok := m.(*ast.CallExpr); ok {
+							checkAcquire(pass, cfg, blk, i, call)
+						}
+						return true
+					})
 				}
-			case *ast.FuncLit:
-				checkTokenFunc(pass, fn.Body)
 			}
-			return true
-		})
+		}
 	}
 	return nil
 }
 
-// acquireSite is one Tokens.Acquire/AcquireCtx call in a function body.
-type acquireSite struct {
-	call *ast.CallExpr
-	recv string // rendered receiver expression, the release must match
-	ctx  bool   // AcquireCtx (error return means "not held")
-}
-
-// checkTokenFunc analyzes one function body in isolation; nested
-// function literals are separate functions with their own analysis.
-func checkTokenFunc(pass *analysis.Pass, body *ast.BlockStmt) {
-	var sites []acquireSite
-	walkShallow(body, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Acquire" && sel.Sel.Name != "AcquireCtx") {
-			return
-		}
-		if !isTokensType(pass.TypeOf(sel.X)) {
-			return
-		}
-		sites = append(sites, acquireSite{
-			call: call,
-			recv: types.ExprString(sel.X),
-			ctx:  sel.Sel.Name == "AcquireCtx",
-		})
-	})
-	for _, site := range sites {
-		if hasDeferRelease(body, site.recv) {
-			continue
-		}
-		after, ok := heldRegion(body, site)
-		if !ok {
-			pass.Reportf(site.call.Pos(), "Tokens.%s: cannot follow the acquired token; defer %s.Release() right after the acquire", acquireName(site), site.recv)
-			continue
-		}
-		if seqReleases(after, site.recv) != relReleased {
-			pass.Reportf(site.call.Pos(), "Tokens.%s is not released on every path; defer %s.Release() or release on all branches (a leaked token shrinks the shared budget for every in-flight run)", acquireName(site), site.recv)
-		}
+// checkAcquire reports call, found in node i of blk, if it is a
+// Tokens.Acquire/AcquireCtx whose token some path fails to release.
+func checkAcquire(pass *analysis.Pass, cfg *analysis.CFG, blk *analysis.Block, i int, call *ast.CallExpr) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Acquire" && sel.Sel.Name != "AcquireCtx") || !isTokensType(pass.TypeOf(sel.X)) {
+		return
+	}
+	recv := types.ExprString(sel.X)
+	start, at := blk, i
+	if sel.Sel.Name == "AcquireCtx" {
+		start, at = heldFrom(pass, blk, i, call)
+	}
+	if !cfg.MustReachFrom(start, at, func(n ast.Node) bool { return releases(n, recv) }) {
+		pass.Reportf(call.Pos(), "Tokens.%s is not released on every path; defer %s.Release() or release on all paths (a leaked token shrinks the shared budget for every in-flight run)", sel.Sel.Name, recv)
 	}
 }
 
-func acquireName(s acquireSite) string {
-	if s.ctx {
-		return "AcquireCtx"
+// heldFrom returns where the token of an AcquireCtx call in node i of
+// blk starts being held. When blk ends in the two-way branch on the
+// call's error — `err != nil` over the err the node assigns and no later
+// node reassigns, or the call itself compared with nil — that is the top
+// of the no-error successor; otherwise it is just after the node.
+func heldFrom(pass *analysis.Pass, blk *analysis.Block, i int, call *ast.CallExpr) (*analysis.Block, int) {
+	last := len(blk.Nodes) - 1
+	cond, ok := blk.Nodes[last].(*ast.BinaryExpr)
+	if !ok || len(blk.Succs) != 2 || (cond.Op != token.NEQ && cond.Op != token.EQL) {
+		return blk, i
 	}
-	return "Acquire"
+	tested := cond.X
+	if isNilIdent(pass, cond.X) {
+		tested = cond.Y
+	} else if !isNilIdent(pass, cond.Y) {
+		return blk, i
+	}
+	if ast.Unparen(tested) != call {
+		as, ok := blk.Nodes[i].(*ast.AssignStmt)
+		id, isID := ast.Unparen(tested).(*ast.Ident)
+		if !ok || !isID || len(as.Lhs) != 1 || len(as.Rhs) != 1 || ast.Unparen(as.Rhs[0]) != call {
+			return blk, i
+		}
+		errObj := pass.ObjectOf(id)
+		if !mentionsObject(pass, as.Lhs[0], errObj) {
+			return blk, i
+		}
+		for _, n := range blk.Nodes[i+1 : last] {
+			if as, ok := n.(*ast.AssignStmt); ok {
+				for _, lhs := range as.Lhs {
+					if mentionsObject(pass, lhs, errObj) {
+						return blk, i
+					}
+				}
+			}
+		}
+	}
+	// The then-branch is Succs[0]: the error branch of `err != nil`.
+	if cond.Op == token.NEQ {
+		return blk.Succs[1], -1
+	}
+	return blk.Succs[0], -1
 }
 
 // isTokensType recognizes workpool.Tokens (possibly behind a pointer).
@@ -117,357 +134,32 @@ func isTokensType(t types.Type) bool {
 	return obj.Name() == "Tokens" && pkgPathIs(obj.Pkg(), "workpool")
 }
 
-// walkShallow visits every node of the function body without descending
-// into nested function literals.
-func walkShallow(n ast.Node, visit func(ast.Node)) {
-	ast.Inspect(n, func(c ast.Node) bool {
-		if _, ok := c.(*ast.FuncLit); ok && c != n {
-			return false
-		}
-		if c != nil {
-			visit(c)
-		}
-		return true
-	})
-}
-
-// heldRegion returns the statements that execute while the token is
-// held: the suffix of the acquire's enclosing statement list. For the
-// if-init AcquireCtx form the held region starts after the whole if
-// statement (its error branch holds nothing); for a standalone
-// `err := t.AcquireCtx(ctx)` followed by an `if err != nil` check, that
-// check is likewise skipped.
-func heldRegion(body *ast.BlockStmt, site acquireSite) ([]ast.Stmt, bool) {
-	path := pathTo(body, site.call)
-	if path == nil {
-		return nil, false
-	}
-	// Find the outermost statement S containing the call whose parent is
-	// a statement list, and that list.
-	for i := len(path) - 1; i > 0; i-- {
-		list := stmtList(path[i-1])
-		if list == nil {
-			continue
-		}
-		s, ok := path[i].(ast.Stmt)
-		if !ok {
-			continue
-		}
-		idx := -1
-		for j, st := range list {
-			if st == s {
-				idx = j
-				break
-			}
-		}
-		if idx < 0 {
-			continue
-		}
-		switch s := s.(type) {
-		case *ast.ExprStmt:
-			return list[idx+1:], true
-		case *ast.IfStmt:
-			// Acquire in the init/cond: the branch taken on acquire
-			// error returns nothing held; hold begins after the if.
-			if !containsNode(s.Body, site.call) {
-				return list[idx+1:], true
-			}
-			return nil, false
-		case *ast.AssignStmt:
-			rest := list[idx+1:]
-			// err := t.AcquireCtx(ctx); if err != nil { ... } — skip the
-			// not-held error branch.
-			if site.ctx && len(rest) > 0 {
-				if ifs, ok := rest[0].(*ast.IfStmt); ok && condMentionsLHS(ifs, s) {
-					return rest[1:], true
-				}
-			}
-			return rest, true
-		}
-		return nil, false
-	}
-	return nil, false
-}
-
-// containsNode reports whether target lies within root.
-func containsNode(root, target ast.Node) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == target {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// condMentionsLHS reports whether the if condition reads a variable
-// assigned by the given statement (the err of an AcquireCtx).
-func condMentionsLHS(ifs *ast.IfStmt, assign *ast.AssignStmt) bool {
-	names := map[string]bool{}
-	for _, lhs := range assign.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok {
-			names[id.Name] = true
-		}
-	}
-	found := false
-	ast.Inspect(ifs.Cond, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && names[id.Name] {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// stmtList returns the statement list a node carries, if it is a
-// list-bearing node.
-func stmtList(n ast.Node) []ast.Stmt {
+// releases reports whether the node releases the token of recv: a
+// <recv>.Release() call, or a deferred or spawned literal that makes one
+// (a defer runs on every exit; a goroutine takes the token over).
+func releases(n ast.Node, recv string) bool {
+	var call *ast.CallExpr
 	switch n := n.(type) {
-	case *ast.BlockStmt:
-		return n.List
-	case *ast.CaseClause:
-		return n.Body
-	case *ast.CommClause:
-		return n.Body
-	}
-	return nil
-}
-
-// pathTo returns the ancestor chain from root down to target inclusive,
-// or nil.
-func pathTo(root ast.Node, target ast.Node) []ast.Node {
-	var stack, found []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		if n == target {
-			found = append([]ast.Node(nil), stack...)
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// relStatus is the release state of one control-flow region.
-type relStatus int
-
-const (
-	relPending  relStatus = iota // no release yet; control continues
-	relReleased                  // released (or safely terminated) on all paths
-	relLeaked                    // some path exits while still holding
-)
-
-// seqReleases walks a statement sequence executed while holding the
-// token and decides whether every path releases it. Reaching the end of
-// the sequence still holding counts as a leak: the sequence is the
-// held region, so falling off its end (function return, or the next
-// loop iteration's acquire) leaks the token.
-func seqReleases(stmts []ast.Stmt, recv string) relStatus {
-	for _, s := range stmts {
-		switch stmtReleases(s, recv) {
-		case relReleased:
-			return relReleased
-		case relLeaked:
-			return relLeaked
-		}
-	}
-	return relLeaked
-}
-
-// seqStatus is seqReleases for nested regions, where running off the
-// end just continues in the parent region.
-func seqStatus(stmts []ast.Stmt, recv string) relStatus {
-	for _, s := range stmts {
-		switch stmtReleases(s, recv) {
-		case relReleased:
-			return relReleased
-		case relLeaked:
-			return relLeaked
-		}
-	}
-	return relPending
-}
-
-func stmtReleases(s ast.Stmt, recv string) relStatus {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if isReleaseCall(s.X, recv) {
-			return relReleased
-		}
-		if isTerminalCall(s.X) {
-			return relReleased
-		}
-		return relPending
+	case *ast.CallExpr:
+		sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Release" && types.ExprString(sel.X) == recv
 	case *ast.DeferStmt:
-		if isReleaseCall(s.Call, recv) || deferredLitReleases(s.Call, recv) {
-			return relReleased
-		}
-		return relPending
-	case *ast.ReturnStmt:
-		return relLeaked
-	case *ast.BranchStmt:
-		// break/continue/goto while holding jumps somewhere this local
-		// analysis cannot follow; demand the release first (or a defer).
-		return relLeaked
-	case *ast.IfStmt:
-		thenS := seqStatus(s.Body.List, recv)
-		elseS := relPending
-		switch e := s.Else.(type) {
-		case *ast.BlockStmt:
-			elseS = seqStatus(e.List, recv)
-		case *ast.IfStmt:
-			elseS = stmtReleases(e, recv)
-		}
-		if thenS == relLeaked || elseS == relLeaked {
-			return relLeaked
-		}
-		if thenS == relReleased && elseS == relReleased {
-			return relReleased
-		}
-		return relPending
-	case *ast.BlockStmt:
-		return seqStatus(s.List, recv)
-	case *ast.LabeledStmt:
-		return stmtReleases(s.Stmt, recv)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return clausesRelease(s, recv)
-	case *ast.ForStmt:
-		if st := seqStatus(s.Body.List, recv); st == relLeaked {
-			return relLeaked
-		}
-		return relPending // zero iterations possible
-	case *ast.RangeStmt:
-		if st := seqStatus(s.Body.List, recv); st == relLeaked {
-			return relLeaked
-		}
-		return relPending
+		call = n.Call
 	case *ast.GoStmt:
-		// handing the token off to a goroutine that releases it
-		if deferredLitReleases(s.Call, recv) {
-			return relReleased
-		}
-		return relPending
-	}
-	return relPending
-}
-
-// clausesRelease folds the case clauses of a switch/select: all clauses
-// must release (and a default/else must exist) for the statement to
-// guarantee release; any leaking clause leaks.
-func clausesRelease(s ast.Stmt, recv string) relStatus {
-	var body *ast.BlockStmt
-	hasDefault := false
-	switch s := s.(type) {
-	case *ast.SwitchStmt:
-		body = s.Body
-	case *ast.TypeSwitchStmt:
-		body = s.Body
-	case *ast.SelectStmt:
-		body = s.Body
-	}
-	all := relReleased
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			stmts = c.Body
-			if c.List == nil {
-				hasDefault = true
-			}
-		case *ast.CommClause:
-			stmts = c.Body
-			if c.Comm == nil {
-				hasDefault = true
-			}
-		}
-		switch seqStatus(stmts, recv) {
-		case relLeaked:
-			return relLeaked
-		case relPending:
-			all = relPending
-		}
-	}
-	if _, isSelect := s.(*ast.SelectStmt); isSelect {
-		hasDefault = true // a select blocks until some clause runs
-	}
-	if all == relReleased && hasDefault && len(body.List) > 0 {
-		return relReleased
-	}
-	return relPending
-}
-
-// hasDeferRelease reports whether the function body defers a Release on
-// the receiver anywhere — the gold-standard pairing.
-func hasDeferRelease(body *ast.BlockStmt, recv string) bool {
-	found := false
-	walkShallow(body, func(n ast.Node) {
-		d, ok := n.(*ast.DeferStmt)
-		if !ok {
-			return
-		}
-		if isReleaseCall(d.Call, recv) || deferredLitReleases(d.Call, recv) {
-			found = true
-		}
-	})
-	return found
-}
-
-// isReleaseCall recognizes <recv>.Release(...) by rendered receiver.
-func isReleaseCall(e ast.Expr, recv string) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
+		call = n.Call
+	default:
 		return false
 	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Release" {
-		return false
-	}
-	return types.ExprString(sel.X) == recv
-}
-
-// deferredLitReleases recognizes defer func() { ... recv.Release() ... }().
-func deferredLitReleases(call *ast.CallExpr, recv string) bool {
 	lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit)
 	if !ok {
 		return false
 	}
 	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if e, ok := n.(*ast.ExprStmt); ok && isReleaseCall(e.X, recv) {
+	ast.Inspect(lit.Body, func(m ast.Node) bool {
+		if e, ok := m.(*ast.ExprStmt); ok && releases(ast.Unparen(e.X), recv) {
 			found = true
 		}
 		return !found
 	})
 	return found
-}
-
-// isTerminalCall recognizes calls that unwind or end the process:
-// panic, os.Exit, log.Fatal*.
-func isTerminalCall(e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name == "panic"
-	case *ast.SelectorExpr:
-		if pkg, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			if pkg.Name == "os" && fun.Sel.Name == "Exit" {
-				return true
-			}
-			if pkg.Name == "log" && (fun.Sel.Name == "Fatal" || fun.Sel.Name == "Fatalf" || fun.Sel.Name == "Fatalln") {
-				return true
-			}
-		}
-	}
-	return false
 }

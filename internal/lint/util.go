@@ -66,3 +66,55 @@ func isInteger(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsInteger != 0
 }
+
+// cfgsFor returns the package's memoized CFG cache, shared by every
+// flow-sensitive analyzer so each function body is built once.
+func cfgsFor(pass *analysis.Pass) *analysis.CFGs {
+	return pass.Pkg.Memo("lint.cfgs", func() any {
+		return analysis.NewCFGs(isTerminalCall)
+	}).(*analysis.CFGs)
+}
+
+// walkShallow visits every node of the function body without descending
+// into nested function literals.
+func walkShallow(n ast.Node, visit func(ast.Node)) {
+	ast.Inspect(n, func(c ast.Node) bool {
+		if _, ok := c.(*ast.FuncLit); ok && c != n {
+			return false
+		}
+		if c != nil {
+			visit(c)
+		}
+		return true
+	})
+}
+
+// containsNode reports whether target lies within root.
+func containsNode(root, target ast.Node) bool {
+	found := false
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == target {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// isTerminalCall recognizes calls that end the process, os.Exit and
+// log.Fatal*, for the CFG builder (which knows panic itself).
+func isTerminalCall(call *ast.CallExpr) bool {
+	fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := ast.Unparen(fun.X).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	switch pkg.Name + "." + fun.Sel.Name {
+	case "os.Exit", "log.Fatal", "log.Fatalf", "log.Fatalln":
+		return true
+	}
+	return false
+}

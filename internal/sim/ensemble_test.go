@@ -73,6 +73,44 @@ func TestEnsembleIndependentOfWorkerCount(t *testing.T) {
 	}
 }
 
+// A grid-path ensemble must be bit-identical whatever the sample-level
+// worker count, the simulator's one parallelism axis.
+func TestEnsembleDeterministicAcrossWorkerLevels(t *testing.T) {
+	base := EnsembleConfig{
+		Sim: Config{
+			N:      24,
+			Force:  forces.MustF1(forces.ConstantMatrix(3, 1), forces.ConstantMatrix(3, 2)),
+			Cutoff: 5,
+		},
+		M:           6,
+		Steps:       40,
+		RecordEvery: 10,
+		Seed:        2012,
+		Workers:     1,
+	}
+	ref, err := RunEnsemble(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{3, 4} {
+		ec := base
+		ec.Workers = workers
+		got, err := RunEnsemble(ec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range ref.Trajs {
+			for f := range ref.Trajs[s].Frames {
+				for i := range ref.Trajs[s].Frames[f] {
+					if ref.Trajs[s].Frames[f][i] != got.Trajs[s].Frames[f][i] {
+						t.Fatalf("Workers=%d: sample %d frame %d particle %d diverged", workers, s, f, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEnsembleSamplesDiffer(t *testing.T) {
 	ens, err := RunEnsemble(ensembleConfig(2, 10, 10, 0))
 	if err != nil {

@@ -52,7 +52,10 @@ type Config struct {
 	// unbounded-interaction experiments (rc = ∞, Sec. 6.1). Zero is
 	// replaced by +Inf by WithDefaults.
 	Cutoff float64
-	// Dt is the Euler–Maruyama step size.
+	// Dt is the Euler–Maruyama step size. Validate accepts any positive
+	// value, including one above MaxStableDt: that bound needs a
+	// neighbour count no configuration carries, and an ensemble run
+	// that diverges ends in a *DivergedError naming the sample and step.
 	Dt float64
 	// NoiseVariance is the variance of the additive Gaussian noise per
 	// coordinate per unit time (the paper's N(0, 0.05)). Set to a
@@ -69,16 +72,6 @@ type Config struct {
 	// EquilibriumWindow is the number of consecutive sub-threshold steps
 	// required.
 	EquilibriumWindow int
-	// Workers selects the force-accumulation mode. 0 (the default) is the
-	// serial unordered-pair sweep, each interaction evaluated once.
-	// Workers ≥ 1 switches to per-particle sharding: every particle's
-	// force is accumulated independently over its full neighbourhood in
-	// canonical orientation, so the result is bit-identical for every
-	// worker count — Workers=1 runs the shards inline, Workers=k fans
-	// them out over k goroutines. The sharded mode costs two force
-	// evaluations per pair but parallelises with no synchronisation on
-	// the force array.
-	Workers int //sopslint:nohash force-accumulation workers within a mode are bit-identical; mode changes bump the checkpoint version instead
 }
 
 // WithDefaults returns a copy of c with unset (zero) numeric fields replaced
@@ -140,9 +133,6 @@ func (c Config) Validate() error {
 	}
 	if c.NoiseVariance < 0 {
 		return errors.New("sim: NoiseVariance must be non-negative after WithDefaults")
-	}
-	if c.Workers < 0 {
-		return errors.New("sim: Workers must be non-negative")
 	}
 	return nil
 }
@@ -210,8 +200,7 @@ type System struct {
 	// Neighbour-search scratch state, recycled across steps so the
 	// steady-state grid path performs zero heap allocations.
 	grid *spatial.DenseGrid // persistent cell list, rebuilt in place
-	nbr  []int32            // serial-path neighbour buffer
-	wnbr [][]int32          // per-worker neighbour buffers (sharded mode)
+	nbr  []int32            // grid-path neighbour buffer
 }
 
 // New creates a system with particles placed uniformly at random on the
@@ -361,9 +350,7 @@ func (s *System) computeForces() {
 	case nbrSparse:
 		src = spatial.NewGrid(s.pos, s.cfg.Cutoff)
 	}
-	if s.cfg.Workers > 0 {
-		s.forcesSharded(src)
-	} else if src != nil {
+	if src != nil {
 		s.forcesScan(src)
 	} else {
 		s.forcesBrute()
@@ -410,7 +397,7 @@ func (s *System) forcesBrute() {
 	}
 }
 
-// forcesScan is the serial grid path: each unordered pair is evaluated once,
+// forcesScan is the grid path: each unordered pair is evaluated once,
 // discovered from the lower-index particle's neighbour list. The scratch
 // buffer s.nbr is recycled across particles and steps.
 func (s *System) forcesScan(src nbrSource) {

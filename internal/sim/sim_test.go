@@ -189,6 +189,33 @@ func TestGridAndBruteForcesAgree(t *testing.T) {
 	}
 }
 
+// Steady-state Step on the dense-grid path must not allocate: the grid and
+// the neighbour scratch buffer are recycled.
+func TestStepSteadyStateAllocationFree(t *testing.T) {
+	cfg := Config{
+		N:      128,
+		Force:  forces.MustF1(forces.ConstantMatrix(3, 1), forces.ConstantMatrix(3, 2)),
+		Cutoff: 2,
+	}.WithDefaults()
+	rng := rngx.New(8)
+	pos := make([]vec.Vec2, cfg.N)
+	for i := range pos {
+		x, y := rng.UniformDisc(40)
+		pos[i] = vec.Vec2{X: x, Y: y}
+	}
+	sys, err := NewFromPositions(cfg, pos, rngx.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strat, _, _ := sys.strategy(); strat != nbrDense {
+		t.Fatal("test setup: expected the dense-grid strategy")
+	}
+	sys.Run(3) // warm up grid and scratch buffers
+	if allocs := testing.AllocsPerRun(30, sys.Step); allocs != 0 {
+		t.Fatalf("steady-state Step allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	cfg := Config{
 		N:      20,

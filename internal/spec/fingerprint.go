@@ -77,11 +77,6 @@ func (sp Spec) Fingerprint() (uint64, error) {
 	n := sp.Normalized()
 	// Zero the runtime-only knobs so deployments with different worker
 	// settings agree on the identity of identical experiments.
-	if n.Sim != nil {
-		simCopy := *n.Sim
-		simCopy.Workers = 0
-		n.Sim = &simCopy
-	}
 	if n.Ensemble != nil {
 		ensCopy := *n.Ensemble
 		ensCopy.Workers = 0

@@ -27,6 +27,11 @@ import (
 	"repro/internal/sim"
 )
 
+// maxN bounds sim.n, so Validate never materialises the default type
+// assignment of an absurd collective: one recorded frame of 2^24
+// particles already takes 256 MiB.
+const maxN = 1 << 24
+
 // Version is the current spec schema version. Loaders accept any version
 // up to this one; field additions are backward-compatible (absent fields
 // keep their zero meaning) and bump the version only when semantics
@@ -73,16 +78,16 @@ type Sim struct {
 	// draws its own from Sweep.Force).
 	Force *forces.Spec `json:"force,omitempty"`
 	// Cutoff ≤ 0 or omitted means rc = ∞.
-	Cutoff               float64 `json:"cutoff,omitempty"`
+	Cutoff float64 `json:"cutoff,omitempty"`
+	// Dt may exceed sim.MaxStableDt: Validate accepts it, since the
+	// bound needs a neighbour count no spec carries, and a run that
+	// diverges fails with a *sim.DivergedError naming the sample and
+	// step.
 	Dt                   float64 `json:"dt,omitempty"`
 	NoiseVariance        float64 `json:"noiseVariance,omitempty"`
 	InitRadius           float64 `json:"initRadius,omitempty"`
 	EquilibriumThreshold float64 `json:"equilibriumThreshold,omitempty"`
 	EquilibriumWindow    int     `json:"equilibriumWindow,omitempty"`
-	// Workers is the per-step force parallelism (runtime only; excluded
-	// from the fingerprint — see sim.Config.Workers for the serial-vs-
-	// sharded rounding caveat).
-	Workers int `json:"workers,omitempty"`
 }
 
 // Ensemble describes the experiment ensemble. Zero fields inherit the
@@ -345,11 +350,12 @@ func (sp Spec) Validate() error {
 			}
 			break
 		}
-		if cfg.N <= 0 {
+		if cfg.N <= 0 || cfg.N > maxN {
 			// Checked before WithDefaults: the round-robin type
-			// defaulting panics on a negative N — one of the scattered
-			// panics this Validate replaces with a typed error.
-			add(errf("sim.n", "must be positive, got %d", cfg.N))
+			// defaulting panics on a negative N, and would allocate
+			// gigabytes for an absurd one — scattered panics this
+			// Validate replaces with a typed error.
+			add(errf("sim.n", "must be in [1, %d], got %d", maxN, cfg.N))
 		} else if err := cfg.WithDefaults().Validate(); err != nil {
 			add(errf("sim", "%v", err))
 		}
@@ -494,10 +500,17 @@ func (s *Sim) Config() (sim.Config, error) {
 		InitRadius:           s.InitRadius,
 		EquilibriumThreshold: s.EquilibriumThreshold,
 		EquilibriumWindow:    s.EquilibriumWindow,
-		Workers:              s.Workers,
 	}
 	if len(cfg.Types) == 0 {
 		cfg.Types = nil
+	}
+	// JSON -0 re-marshals as an omitted field, so it must mean what an
+	// omitted field means: turn it into +0 before it reaches the
+	// fingerprint, which prints it.
+	for _, v := range []*float64{&cfg.Dt, &cfg.NoiseVariance, &cfg.InitRadius, &cfg.EquilibriumThreshold} {
+		if *v == 0 {
+			*v = 0
+		}
 	}
 	if cfg.Cutoff <= 0 {
 		// JSON has no infinity literal: absent/zero/negative all mean ∞
@@ -527,7 +540,6 @@ func SimFromConfig(c sim.Config) (*Sim, error) {
 		InitRadius:           c.InitRadius,
 		EquilibriumThreshold: c.EquilibriumThreshold,
 		EquilibriumWindow:    c.EquilibriumWindow,
-		Workers:              c.Workers,
 	}
 	if len(s.Types) == 0 {
 		s.Types = nil

@@ -448,6 +448,52 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseRejectsSimWorkers: the per-step force parallelism is gone;
+// a spec still carrying it fails loudly instead of silently running
+// serial. Sample parallelism lives in ensemble.workers.
+func TestParseRejectsSimWorkers(t *testing.T) {
+	b, err := runSpec(t).MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(b), `"cutoff": 5`, `"cutoff": 5, "workers": 2`, 1)
+	if _, err := Parse([]byte(old), "old"); err == nil || !contains(err.Error(), `"workers"`) {
+		t.Fatalf("sim.workers accepted or not named: %v", err)
+	}
+	migrated := strings.Replace(string(b), `"m": 64`, `"m": 64, "workers": 2`, 1)
+	if _, err := Parse([]byte(migrated), "migrated"); err != nil {
+		t.Fatalf("ensemble.workers rejected: %v", err)
+	}
+}
+
+// TestValidateAcceptsDtAboveMaxStableDt pins the decision on the Euler
+// stability bound: it needs a neighbour count no spec carries, and a
+// diverging run ends in a *sim.DivergedError, so Validate accepts a Dt
+// beyond sim.MaxStableDt.
+func TestValidateAcceptsDtAboveMaxStableDt(t *testing.T) {
+	cfg := fig4ish()
+	cfg.Dt = 10 * sim.MaxStableDt(1, 10)
+	sp := runSpec(t)
+	sp.Sim = mustSim(t, cfg)
+	if err := sp.Validate(); err != nil {
+		t.Fatalf("Dt = %g above sim.MaxStableDt rejected: %v", cfg.Dt, err)
+	}
+	if err := cfg.WithDefaults().Validate(); err != nil {
+		t.Fatalf("sim.Config rejects Dt = %g: %v", cfg.Dt, err)
+	}
+}
+
+// TestValidateBoundsN: an absurd sim.n is a typed error, not a
+// gigabyte allocation (or a makeslice panic) in type defaulting.
+func TestValidateBoundsN(t *testing.T) {
+	sp := runSpec(t)
+	sp.Sim.N = 1e15
+	errs := multiErrors(sp.Validate())
+	if len(errs) != 1 || errs[0].Field != "sim.n" {
+		t.Fatalf("n = 1e15: got %v, want one sim.n error", errs)
+	}
+}
+
 func mustSim(t *testing.T, c sim.Config) *Sim {
 	t.Helper()
 	s, err := SimFromConfig(c)

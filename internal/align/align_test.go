@@ -352,7 +352,8 @@ func TestNearestMatchesTypeLiftedSearch(t *testing.T) {
 		}
 		scale := 10 * 2 * radius
 		for i, p := range a.mov {
-			p = p.Rotate(r.Float64() * 2 * math.Pi)
+			theta := r.Float64() * 2 * math.Pi
+			p = p.Rotate(theta)
 			want, wantD2 := -1, math.Inf(1)
 			for j, q := range a.ref {
 				dz := float64(types[i])*scale - float64(types[j])*scale
@@ -361,7 +362,7 @@ func TestNearestMatchesTypeLiftedSearch(t *testing.T) {
 					want, wantD2 = j, d2
 				}
 			}
-			got, gotD2 := a.nearest(i, p)
+			got, gotD2 := a.nearest(i, p, theta)
 			if got != want || gotD2 != wantD2 {
 				t.Fatalf("trial %d, particle %d: scan (%d, %v), lifted search (%d, %v)", trial, i, got, gotD2, want, wantD2)
 			}

@@ -1,9 +1,10 @@
 package align
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -50,24 +51,24 @@ func (r Result) Reordered() []vec.Vec2 {
 }
 
 // Aligner runs ICP alignments with reusable scratch storage. A zero Aligner
-// is ready to use; after the first call, further alignments of same-sized
-// configurations perform (almost) no heap allocation, which matters when an
-// ensemble pipeline aligns tens of thousands of frames. An Aligner is not
-// safe for concurrent use — give each worker goroutine its own.
+// is ready to use; after the first call, AlignReorderedInto of same-sized
+// configurations performs no heap allocation (ICP allocates only its
+// Result), which matters when an ensemble pipeline aligns tens of
+// thousands of frames. An Aligner is not safe for concurrent use — give
+// each worker goroutine its own.
 type Aligner struct {
-	mov, ref  []vec.Vec2
-	rotated   []vec.Vec2
-	matched   []vec.Vec2
-	aligned   []vec.Vec2
-	refByType []vec.Vec2 // refByType[k] = ref[order[k]]
-	perm      []int
-	order     []int
-	runs      []typeRun
-	typeSort  typeSorter
-	pairs     []icpPair
-	pairSort  pairSorter
-	usedI     []bool
-	usedJ     []bool
+	mov, ref   []vec.Vec2
+	rotated    []vec.Vec2
+	matched    []vec.Vec2
+	aligned    []vec.Vec2
+	refX, refY []float64 // refX[k], refY[k] = ref[order[k]]
+	perm       []int
+	order      []int
+	runs       []typeRun
+	certs      []certificate // certs[i] is moving particle i's
+	rowD2      []float64     // matching: row k's minimum over free columns
+	rowCol     []int         // ... and its column; −1 once row k is matched
+	colUsed    []bool
 
 	movCentroid, refCentroid vec.Vec2
 }
@@ -75,6 +76,31 @@ type Aligner struct {
 // typeRun is the half-open range [lo, hi) of one type's members in the
 // (type, index)-sorted particle order.
 type typeRun struct{ lo, hi int }
+
+// certificate records the outcome of a full correspondence scan: the
+// winning slot, and how far the rotation angle may move from the scan's
+// angle before the winner could change. See nearest.
+type certificate struct {
+	theta float64 // rotation angle of the scan
+	reach float64 // the winner is certified while |θ − theta| ≤ reach
+	slot  int     // winning position in (type, index) order
+}
+
+// Certificate margin. The scan compares computed squared distances, so a
+// certificate must hold for the computed floats, not only for exact
+// geometry. Each rotated coordinate is within ~20 ulp·|m| of the exact
+// rotation of m (two rounded products and a difference, with sin and cos
+// each off by a few ulp), and each computed distance is within 3 ulp of
+// relative error of the true one (a rounded difference per axis, the
+// squares, the sum). All of it is below 5e-14 relative to the distances
+// and |m|, so certMargin = 1e-9 is five orders of magnitude of headroom.
+// certFloor covers the one place relative errors do not apply: squares
+// that underflow into the subnormal range, whose absolute error of a few
+// 1e-324 moves a square root by at most ~1e-161.
+const (
+	certMargin = 1e-9
+	certFloor  = 1e-150
+)
 
 // ICP aligns the moving configuration onto the reference configuration,
 // both with the same type multiset (same number of particles of each type),
@@ -141,9 +167,9 @@ func (a *Aligner) AlignReorderedInto(dst []vec.Vec2, moving, reference []vec.Vec
 
 // nearest answers a correspondence query: it returns the reference
 // particle of particle i's type closest to p, and the squared distance.
-// The type's members are scanned in increasing index order and a candidate
-// replaces the best only when strictly closer, so ties go to the smaller
-// index.
+// p must be moving particle i rotated by theta, as by rotate. The type's
+// members are scanned in increasing index order and a candidate replaces
+// the best only when strictly closer, so ties go to the smaller index.
 //
 // This is the paper's type-lifted search (Sec. 5.2) without the lift. The
 // paper appends the type, scaled by a factor a magnitude larger than the
@@ -153,15 +179,50 @@ func (a *Aligner) AlignReorderedInto(dst []vec.Vec2, moving, reference []vec.Vec
 // alone, so the lifted nearest neighbour is always the same-type one; and
 // for a same-type pair the lifted coordinate differs by exactly zero, so
 // the squared distance is the same float.
-func (a *Aligner) nearest(i int, p vec.Vec2) (int, float64) {
+//
+// Most queries skip the scan. A rotation by θ' instead of θ moves the
+// query by at most |θ' − θ|·|m|, which brings the winner at most that much
+// closer and every other member at most that much farther away. So while
+// the move stays under half the gap between the best and second-best
+// distance, the scan would pick the same winner, and nearest only
+// recomputes the winner's squared distance — the same float as the scan.
+// This is the triangle-inequality bound of accelerated k-means (Elkan,
+// ICML 2003; Hamerly, SDM 2010), less certMargin for rounding. An exact
+// tie has zero gap and is never certified.
+func (a *Aligner) nearest(i int, p vec.Vec2, theta float64) (int, float64) {
+	c := &a.certs[i]
+	if math.Abs(theta-c.theta) <= c.reach {
+		dx, dy := p.X-a.refX[c.slot], p.Y-a.refY[c.slot]
+		return a.order[c.slot], dx*dx + dy*dy
+	}
 	r := a.runs[i]
-	best, bestD2 := r.lo, p.Dist2(a.refByType[r.lo])
-	for k := r.lo + 1; k < r.hi; k++ {
-		if d2 := p.Dist2(a.refByType[k]); d2 < bestD2 {
-			best, bestD2 = k, d2
+	xs := a.refX[r.lo:r.hi]
+	ys := a.refY[r.lo:r.hi]
+	ys = ys[:len(xs)] // one length, so the loop needs no bounds checks
+	best := 0
+	dx, dy := p.X-xs[0], p.Y-ys[0]
+	d1, d2 := dx*dx+dy*dy, math.Inf(1) // best and second-best
+	for k := 1; k < len(xs); k++ {
+		dx, dy := p.X-xs[k], p.Y-ys[k]
+		if d := dx*dx + dy*dy; d < d1 {
+			best, d1, d2 = k, d, d1
+		} else if d < d2 {
+			d2 = d
 		}
 	}
-	return a.order[best], bestD2
+	best += r.lo
+	// NaN (a one-member type's infinite gap, or non-finite input) fails
+	// every comparison with |θ − theta|, so it certifies nothing.
+	g1, g2, norm := math.Sqrt(d1), math.Sqrt(d2), math.Sqrt(p.X*p.X+p.Y*p.Y)
+	slack := (g2-g1)/2 - certMargin*(g1+g2+norm) - certFloor
+	*c = certificate{theta: theta, reach: slack / norm, slot: best}
+	return a.order[best], d1
+}
+
+// rotate returns p rotated by the angle whose sine and cosine are s and c,
+// with the expression of vec.Vec2.Rotate, so the result has the same bits.
+func rotate(p vec.Vec2, s, c float64) vec.Vec2 {
+	return vec.Vec2{X: c*p.X - s*p.Y, Y: s*p.X + c*p.Y}
 }
 
 // icp runs the full alignment into the scratch buffers: afterwards
@@ -191,8 +252,8 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int) (float64, int, 
 
 	bestTheta, bestCost := 0.0, math.Inf(1)
 	totalIters := 0
-	a.matched = growVec2(a.matched, len(mov))
-	a.rotated = growVec2(a.rotated, len(mov))
+	a.matched = grow(a.matched, len(mov))
+	a.rotated = grow(a.rotated, len(mov))
 	matched, rotated := a.matched, a.rotated
 
 	for restart := 0; restart < restarts; restart++ {
@@ -200,12 +261,12 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int) (float64, int, 
 		prevRMS := math.Inf(1)
 		for iter := 0; iter < maxIterations; iter++ {
 			totalIters++
-			for i, p := range mov {
-				rotated[i] = p.Rotate(theta)
-			}
+			s, c := math.Sincos(theta)
 			var sumD2 float64
-			for i, p := range rotated {
-				j, d2 := a.nearest(i, p)
+			for i, p := range mov {
+				q := rotate(p, s, c)
+				rotated[i] = q
+				j, d2 := a.nearest(i, q, theta)
 				matched[i] = ref[j]
 				sumD2 += d2
 			}
@@ -222,9 +283,10 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int) (float64, int, 
 			prevRMS = rms
 		}
 		// Score this restart by its final matching cost.
+		s, c := math.Sincos(theta)
 		var cost float64
 		for i, p := range mov {
-			_, d2 := a.nearest(i, p.Rotate(theta))
+			_, d2 := a.nearest(i, rotate(p, s, c), theta)
 			cost += d2
 		}
 		if cost < bestCost {
@@ -232,11 +294,12 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int) (float64, int, 
 		}
 	}
 
-	a.aligned = growVec2(a.aligned, len(moving))
+	a.aligned = grow(a.aligned, len(moving))
+	s, c := math.Sincos(bestTheta)
 	for i, p := range mov {
-		a.aligned[i] = p.Rotate(bestTheta)
+		a.aligned[i] = rotate(p, s, c)
 	}
-	a.matchByType(a.aligned, ref)
+	a.matchByType(a.aligned)
 	return bestTheta, totalIters, nil
 }
 
@@ -249,62 +312,26 @@ func checkTypeMultiset(types []int) error {
 	return nil
 }
 
-type icpPair struct {
-	d2   float64
-	i, j int // moving index, reference index
-}
-
-// pairSorter orders candidate pairs by distance with deterministic index
-// tie-breaks — a reusable sort.Interface so the per-frame matching does not
-// allocate a closure and swapper the way sort.Slice would.
-type pairSorter struct{ pairs []icpPair }
-
-func (p *pairSorter) Len() int      { return len(p.pairs) }
-func (p *pairSorter) Swap(a, b int) { p.pairs[a], p.pairs[b] = p.pairs[b], p.pairs[a] }
-func (p *pairSorter) Less(a, b int) bool {
-	pa, pb := p.pairs[a], p.pairs[b]
-	if pa.d2 != pb.d2 {
-		return pa.d2 < pb.d2
-	}
-	if pa.i != pb.i {
-		return pa.i < pb.i
-	}
-	return pa.j < pb.j
-}
-
-// typeSorter orders particle indices by (type, index) so same-type
-// particles form contiguous runs — constant scratch for any type ids,
-// where a dense per-type bucket array would scale with the largest id and
-// a map would allocate per frame.
-type typeSorter struct {
-	idx   []int
-	types []int
-}
-
-func (s *typeSorter) Len() int      { return len(s.idx) }
-func (s *typeSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-func (s *typeSorter) Less(a, b int) bool {
-	ta, tb := s.types[s.idx[a]], s.types[s.idx[b]]
-	if ta != tb {
-		return ta < tb
-	}
-	return s.idx[a] < s.idx[b]
-}
-
 // groupByType sorts the particle indices by (type, index) into a.order,
-// records each particle's type run in a.runs, and lays the reference cloud
-// out in that order in a.refByType, so every type's members are one
-// contiguous run scanned in increasing index order.
+// records each particle's type run in a.runs, lays the reference cloud out
+// in that order in a.refX and a.refY, so every type's members are one
+// contiguous run scanned in increasing index order, and invalidates every
+// correspondence certificate.
 func (a *Aligner) groupByType(ref []vec.Vec2, types []int) {
 	n := len(types)
-	a.order = growInt(a.order, n)
+	a.order = grow(a.order, n)
 	for i := range a.order {
 		a.order[i] = i
 	}
-	a.typeSort = typeSorter{idx: a.order, types: types}
-	sort.Sort(&a.typeSort)
-	a.runs = growRuns(a.runs, n)
-	a.refByType = growVec2(a.refByType, n)
+	slices.SortFunc(a.order, func(i, j int) int {
+		if c := cmp.Compare(types[i], types[j]); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	a.runs = grow(a.runs, n)
+	a.refX = grow(a.refX, n)
+	a.refY = grow(a.refY, n)
 	for lo := 0; lo < n; {
 		hi := lo + 1
 		for hi < n && types[a.order[hi]] == types[a.order[lo]] {
@@ -312,76 +339,89 @@ func (a *Aligner) groupByType(ref []vec.Vec2, types []int) {
 		}
 		for k := lo; k < hi; k++ {
 			a.runs[a.order[k]] = typeRun{lo, hi}
-			a.refByType[k] = ref[a.order[k]]
+			a.refX[k], a.refY[k] = ref[a.order[k]].X, ref[a.order[k]].Y
 		}
 		lo = hi
 	}
+	a.certs = grow(a.certs, n)
+	for i := range a.certs {
+		a.certs[i] = certificate{reach: math.NaN()}
+	}
 }
 
-// matchByType produces a type-respecting bijection between the moving and
-// reference clouds into a.perm: perm[j] = i. Within each type it runs a
-// greedy minimum-distance matching (repeatedly pairing the globally closest
-// unmatched moving/reference pair), which is O(n² log n) per type and is a
-// strict improvement over the raw many-to-one nearest-neighbour output of
-// the ICP correspondence step. Types are processed in increasing order; the
-// result is identical to any other order because the per-type matchings
-// write disjoint permutation slots. It reuses the grouping of groupByType.
-func (a *Aligner) matchByType(moving, reference []vec.Vec2) {
+// matchByType produces a type-respecting bijection between the moving
+// cloud and the reference laid out by groupByType into a.perm: perm[j] = i.
+// Within each type it runs a greedy minimum-distance matching: it
+// repeatedly pairs the unmatched moving/reference pair that is smallest in
+// (d², i, j), which unlike the raw many-to-one nearest-neighbour output of
+// the ICP correspondence step is a bijection.
+//
+// The greedy order is found without sorting all pairs. Each unmatched row
+// (moving particle) keeps its (d², j)-minimum over the unmatched columns
+// (reference particles); the smallest pair overall is then the row minimum
+// of the (d², i)-smallest row. Accepting it only invalidates the rows whose
+// minimum was the column just taken — every other row's minimum is still
+// among the columns left — so only those are recomputed. Types are
+// processed in increasing order; the per-type matchings write disjoint
+// permutation slots.
+func (a *Aligner) matchByType(moving []vec.Vec2) {
 	n := len(moving)
-	a.perm = growInt(a.perm, n)
-	a.usedI = growBool(a.usedI, n)
-	a.usedJ = growBool(a.usedJ, n)
+	a.perm = grow(a.perm, n)
+	a.rowD2 = grow(a.rowD2, n)
+	a.rowCol = grow(a.rowCol, n)
+	a.colUsed = grow(a.colUsed, n)
 	for lo := 0; lo < n; {
 		hi := a.runs[a.order[lo]].hi
-		idx := a.order[lo:hi] // one type's members, in increasing index order
+		for k := lo; k < hi; k++ {
+			a.colUsed[k] = false
+		}
+		for k := lo; k < hi; k++ {
+			a.rowMin(moving, k, lo, hi)
+		}
+		for range hi - lo {
+			row := -1
+			for k := lo; k < hi; k++ {
+				if a.rowCol[k] >= 0 && (row < 0 || a.rowD2[k] < a.rowD2[row]) {
+					row = k
+				}
+			}
+			col := a.rowCol[row]
+			a.perm[a.order[col]] = a.order[row]
+			a.rowCol[row] = -1
+			a.colUsed[col] = true
+			for k := lo; k < hi; k++ {
+				if a.rowCol[k] == col {
+					a.rowMin(moving, k, lo, hi)
+				}
+			}
+		}
 		lo = hi
-		a.pairs = a.pairs[:0]
-		for _, i := range idx {
-			for _, j := range idx {
-				a.pairs = append(a.pairs, icpPair{moving[i].Dist2(reference[j]), i, j})
-			}
+	}
+}
+
+// rowMin sets a.rowD2[k] and a.rowCol[k] to the (d², j)-minimum of row k —
+// moving particle order[k] — over the unmatched columns of its type run
+// [lo, hi). The caller guarantees one is left.
+func (a *Aligner) rowMin(moving []vec.Vec2, k, lo, hi int) {
+	p := moving[a.order[k]]
+	col, d2 := -1, 0.0
+	for j := lo; j < hi; j++ {
+		if a.colUsed[j] {
+			continue
 		}
-		a.pairSort.pairs = a.pairs
-		sort.Sort(&a.pairSort)
-		for _, i := range idx {
-			a.usedI[i] = false
-			a.usedJ[i] = false
-		}
-		for _, p := range a.pairs {
-			if a.usedI[p.i] || a.usedJ[p.j] {
-				continue
-			}
-			a.usedI[p.i] = true
-			a.usedJ[p.j] = true
-			a.perm[p.j] = p.i
+		dx, dy := p.X-a.refX[j], p.Y-a.refY[j]
+		if d := dx*dx + dy*dy; col < 0 || d < d2 {
+			col, d2 = j, d
 		}
 	}
+	a.rowD2[k], a.rowCol[k] = d2, col
 }
 
-func growVec2(s []vec.Vec2, n int) []vec.Vec2 {
+// grow returns s resized to n, reallocating only when its capacity is
+// short: the scratch of a reused Aligner.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]vec.Vec2, n)
-	}
-	return s[:n]
-}
-
-func growInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growRuns(s []typeRun, n int) []typeRun {
-	if cap(s) < n {
-		return make([]typeRun, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

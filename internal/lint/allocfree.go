@@ -60,6 +60,9 @@ var hotPaths = map[string]bool{
 	"repro/internal/infotheory.(*Engine).kernelChunk": true,
 	"repro/internal/infotheory.(*Engine).approxChunk": true,
 	"repro/internal/align.(*Aligner).icp":             true,
+	"repro/internal/align.(*Aligner).nearest":         true,
+	"repro/internal/align.(*Aligner).matchByType":     true,
+	"repro/internal/align.(*Aligner).rowMin":          true,
 }
 
 const hotpathPrefix = "//sopslint:hotpath"

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/forces"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 )
@@ -304,6 +306,67 @@ func TestWorkerRunErrorSurfaces(t *testing.T) {
 	_, err := co.Sweep(context.Background(), specs)
 	if err == nil || !strings.Contains(err.Error(), "bad-run") {
 		t.Fatalf("err = %v, want the failing run's ID surfaced", err)
+	}
+}
+
+// TestDivergedRunFailsOnceWithoutRequeue: a run that diverges on a worker
+// is a deterministic run error, not worker death. The coordinator fails
+// the sweep with it once — naming the sample and step — and does not
+// requeue it to the other worker, and no worker process dies: every one
+// exits cleanly when the coordinator closes its connection.
+func TestDivergedRunFailsOnceWithoutRequeue(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := experiment.Fig4PipelineOf(experiment.Scale{M: 8, Steps: 20, RecordEvery: 10}, 1)
+	p.Ensemble.Sim.Force = forces.MustF1(forces.ConstantMatrix(3, 1e200), p.Ensemble.Sim.Force.(*forces.F1).R)
+	specs := []experiment.SweepSpec{{ID: "diverged", Pipeline: p}}
+	type exit struct {
+		err    error
+		stderr string
+	}
+	exits := make(chan exit, 2)
+	spawn := func(ctx context.Context, i int, addr string, budget int) (func() error, error) {
+		cmd := exec.CommandContext(ctx, exe)
+		cmd.Env = append(os.Environ(),
+			"SOPS_WORKER_ADDR="+addr,
+			"SOPS_WORKER_BUDGET="+strconv.Itoa(budget),
+		)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			return nil, err
+		}
+		return func() error {
+			err := cmd.Wait()
+			exits <- exit{err, stderr.String()}
+			return err
+		}, nil
+	}
+	co := &Coordinator{Procs: 2, Budget: 2, Spawn: spawn}
+	_, err = co.Sweep(context.Background(), specs)
+	if err == nil {
+		t.Fatal("a diverging run completed")
+	}
+	// A requeue would need a worker to die first; both dying ends in
+	// "all workers exited" instead of the run's own error.
+	for _, want := range []string{`sweep run "diverged"`, "sample ", "diverged at step 10"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to contain %q", err, want)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case e := <-exits:
+			// A worker that starts only after the sweep has ended finds
+			// no coordinator to dial: it never held the run.
+			if e.err != nil && !strings.Contains(e.stderr, "worker dial") {
+				t.Fatalf("a worker exited with %v; a run error must not kill it:\n%s", e.err, e.stderr)
+			}
+		case <-time.After(time.Minute):
+			t.Fatal("a worker did not exit after the sweep ended")
+		}
 	}
 }
 

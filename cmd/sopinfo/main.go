@@ -4,7 +4,8 @@
 //
 // Input format: one sample per row; columns are grouped into variables with
 // -dims, e.g. -dims 2,2,2 reads three 2-dimensional variables from six
-// columns. A header row is skipped automatically if non-numeric.
+// columns. A header row is skipped automatically if non-numeric; NaN and
+// Inf cells are rejected.
 //
 // Usage:
 //
@@ -34,6 +35,8 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -119,6 +122,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	var gs [][]int
+	if *groups != "" {
+		if gs, err = parseGroups(*groups, ds.NumVars()); err != nil {
+			fatal(err)
+		}
+	}
 	kind := experiment.EstimatorKind(esp.Kind)
 	if err := validateKSGK(kind, esp.K, ds.NumSamples()); err != nil {
 		fatal(err)
@@ -163,15 +172,7 @@ func main() {
 		fatal(fmt.Errorf("unknown -tier %q (want exact or approx)", esp.Tier))
 	}
 
-	if *groups != "" {
-		labels, err := parseInts(*groups)
-		if err != nil {
-			fatal(err)
-		}
-		if len(labels) != ds.NumVars() {
-			fatal(fmt.Errorf("%d group labels for %d variables", len(labels), ds.NumVars()))
-		}
-		gs := infotheory.GroupsByLabel(labels)
+	if gs != nil {
 		dec := infotheory.Decompose(ds, gs, estimator)
 		fmt.Printf("decomposition: between-groups %.4f bits\n", dec.Between)
 		for g, w := range dec.Within {
@@ -202,13 +203,37 @@ func validateKSGK(est experiment.EstimatorKind, k, samples int) error {
 	return nil
 }
 
+// parseGroups parses the -groups labels, one non-negative label per
+// variable, into the variable groups of the Eq. (5) decomposition.
+func parseGroups(spec string, nVars int) ([][]int, error) {
+	labels, err := parseInts(spec)
+	if err != nil {
+		return nil, err
+	}
+	if len(labels) != nVars {
+		return nil, fmt.Errorf("%d group labels for %d variables", len(labels), nVars)
+	}
+	for v, l := range labels {
+		if l < 0 {
+			return nil, fmt.Errorf("group label %d of variable %d is negative", l, v)
+		}
+	}
+	return infotheory.GroupsByLabel(labels), nil
+}
+
 func readNumericCSV(path string) ([][]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	records, err := csv.NewReader(f).ReadAll()
+	return parseNumericCSV(f)
+}
+
+// parseNumericCSV reads one sample per row, skipping a non-numeric
+// header row. Every accepted cell is finite: NaN and ±Inf are errors.
+func parseNumericCSV(r io.Reader) ([][]float64, error) {
+	records, err := csv.NewReader(r).ReadAll()
 	if err != nil {
 		return nil, err
 	}
@@ -229,6 +254,11 @@ func readNumericCSV(path string) ([][]float64, error) {
 				continue // header
 			}
 			return nil, fmt.Errorf("non-numeric cell in row %d", ri+1)
+		}
+		for ci, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("non-finite cell %v in row %d, column %d", v, ri+1, ci+1)
+			}
 		}
 		rows = append(rows, row)
 	}
@@ -255,7 +285,10 @@ func buildDataset(rows [][]float64, dimsSpec string) (*infotheory.Dataset, error
 			return nil, err
 		}
 		total := 0
-		for _, d := range dims {
+		for v, d := range dims {
+			if d < 1 || d > nCols {
+				return nil, fmt.Errorf("variable %d has dimension %d, want 1..%d (the CSV's columns)", v, d, nCols)
+			}
 			total += d
 		}
 		if total != nCols {

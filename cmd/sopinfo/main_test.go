@@ -6,7 +6,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -173,4 +175,52 @@ func TestEndToEndEstimateOnGeneratedData(t *testing.T) {
 
 func formatRow(x, y float64) string {
 	return strconv.FormatFloat(x, 'g', -1, 64) + "," + strconv.FormatFloat(y, 'g', -1, 64) + "\n"
+}
+
+// sixByTwo is a 6-row, 2-column CSV: two 1-D variables.
+const sixByTwo = "x,y\n1,2\n3,1\n2,5\n4,4\n6,3\n5,6\n"
+
+// TestBuildDatasetRejectsNonPositiveDims is the regression test for the
+// -dims panic: a zero or negative dimension whose sum still matched the
+// column count used to crash in infotheory.NewDataset.
+func TestBuildDatasetRejectsNonPositiveDims(t *testing.T) {
+	rows, err := readNumericCSV(writeTemp(t, sixByTwo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dims := range []string{"0,2", "-1,3", "3,-1"} {
+		if _, err := buildDataset(rows, dims); err == nil || !strings.Contains(err.Error(), "dimension") {
+			t.Errorf("-dims %s: err = %v, want a dimension error", dims, err)
+		}
+	}
+}
+
+// TestParseGroups pins the -groups checks: a negative label used to
+// index out of range in GroupsByLabel, and a huge one used to allocate
+// a slice as long as the label.
+func TestParseGroups(t *testing.T) {
+	if _, err := parseGroups("-1,0", 2); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Errorf("-groups -1,0: err = %v, want a negative-label error", err)
+	}
+	if _, err := parseGroups("0,0,1", 2); err == nil {
+		t.Error("3 labels for 2 variables accepted")
+	}
+	gs, err := parseGroups("1000000000,0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int{{1}, {0}}; !reflect.DeepEqual(gs, want) {
+		t.Errorf("-groups 1000000000,0 = %v, want %v", gs, want)
+	}
+}
+
+// TestReadNumericCSVRejectsNonFinite: NaN and ±Inf cells used to be
+// accepted, and the estimators then printed plausible numbers or NaN.
+func TestReadNumericCSVRejectsNonFinite(t *testing.T) {
+	for _, cell := range []string{"NaN", "Inf", "-inf", "+Infinity"} {
+		_, err := readNumericCSV(writeTemp(t, "x,y\n1,2\n3,"+cell+"\n"))
+		if err == nil || !strings.Contains(err.Error(), "row 3, column 2") {
+			t.Errorf("cell %s: err = %v, want a non-finite error naming row 3, column 2", cell, err)
+		}
+	}
 }

@@ -1,5 +1,7 @@
 package infotheory
 
+import "slices"
+
 // Estimator evaluates a multi-information estimate in bits on a dataset.
 // The stock choices are closures over MultiInfoKSG, MultiInfoKernel and
 // MultiInfoBinned; Decompose applies the same estimator to every term so
@@ -75,23 +77,17 @@ func Decompose(d *Dataset, groups [][]int, est Estimator) Decomposition {
 // GroupsByLabel partitions variable indices 0..len(labels)-1 by their
 // label value (e.g. particle type), returning one group per distinct label
 // in increasing label order. It is the standard grouping for the per-type
-// decomposition of Sec. 6.1.1.
+// decomposition of Sec. 6.1.1. Memory scales with the number of
+// variables, not with the largest label.
 func GroupsByLabel(labels []int) [][]int {
-	maxLabel := -1
-	for _, t := range labels {
-		if t > maxLabel {
-			maxLabel = t
-		}
+	if len(labels) == 0 {
+		return nil
 	}
-	byLabel := make([][]int, maxLabel+1)
+	distinct := slices.Compact(slices.Sorted(slices.Values(labels)))
+	out := make([][]int, len(distinct))
 	for v, t := range labels {
-		byLabel[t] = append(byLabel[t], v)
-	}
-	var out [][]int
-	for _, g := range byLabel {
-		if len(g) > 0 {
-			out = append(out, g)
-		}
+		g, _ := slices.BinarySearch(distinct, t)
+		out[g] = append(out[g], v)
 	}
 	return out
 }

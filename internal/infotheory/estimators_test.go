@@ -3,6 +3,7 @@ package infotheory
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 )
 
@@ -220,6 +221,54 @@ func TestGroupsByLabel(t *testing.T) {
 				t.Fatalf("groups = %v", groups)
 			}
 		}
+	}
+}
+
+// groupsByLabelDense is the original GroupsByLabel, which indexed a
+// slice by label value: the reference GroupsByLabel must match on every
+// non-negative input.
+func groupsByLabelDense(labels []int) [][]int {
+	maxLabel := -1
+	for _, t := range labels {
+		if t > maxLabel {
+			maxLabel = t
+		}
+	}
+	byLabel := make([][]int, maxLabel+1)
+	for v, t := range labels {
+		byLabel[t] = append(byLabel[t], v)
+	}
+	var out [][]int
+	for _, g := range byLabel {
+		if len(g) > 0 {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+func TestGroupsByLabelMatchesDense(t *testing.T) {
+	cases := [][]int{nil, {}, {0}, {5}, {2, 0, 0, 2, 1}, {0, 3}, {7, 7, 7}, {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 200 {
+		labels := make([]int, rng.IntN(17))
+		maxLabel := 1 + rng.IntN(40)
+		for i := range labels {
+			labels[i] = rng.IntN(maxLabel)
+		}
+		cases = append(cases, labels)
+	}
+	for _, labels := range cases {
+		if got, want := GroupsByLabel(labels), groupsByLabelDense(labels); !reflect.DeepEqual(got, want) {
+			t.Fatalf("GroupsByLabel(%v) = %v, want %v", labels, got, want)
+		}
+	}
+}
+
+func TestGroupsByLabelLargeLabel(t *testing.T) {
+	groups := GroupsByLabel([]int{1_000_000_000, 0, 1_000_000_000})
+	if want := [][]int{{1}, {0, 2}}; !reflect.DeepEqual(groups, want) {
+		t.Fatalf("groups = %v, want %v", groups, want)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // benchmarkSuite times the full default suite over the whole module —
-// the in-process twin of CI's `go vet -vettool` run. The stubFacts
+// the same in-process run as CI's sopslint lint gate. The stubFacts
 // variant nils every fact store, reproducing the pre-facts placeholder
 // behaviour; CI's sopslint-bench step runs both and fails if facts
 // cost more than 2× the placeholder wall-clock.

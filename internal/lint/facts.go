@@ -9,11 +9,9 @@ package lint
 // identity contract all span packages, and one-package-local summaries
 // stop exactly where those contracts start to matter.
 //
-// In-process (meta-test, standalone) the packages of a run share one
-// analysis.FactSet and are visited in dependency order; under
-// `go vet -vettool` the same facts ride the .vetx files of the
-// unitchecker protocol (see internal/lint/load and cmd/sopslint). Both
-// paths run this same fact pass, so they see identical results.
+// The packages of a run share one analysis.FactSet and are visited in
+// dependency order, so each package's fact pass runs before any of its
+// dependents are analyzed.
 
 import (
 	"go/ast"
@@ -22,10 +20,10 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Fact is the suite's fact interface: a gob-encodable, object-keyed
-// observation exported by one package's analysis and imported by its
-// dependents (an alias of the analysis-layer interface, re-exported as
-// the suite's vocabulary).
+// Fact is the suite's fact interface: an object-keyed observation
+// exported by one package's analysis and imported by its dependents (an
+// alias of the analysis-layer interface, re-exported as the suite's
+// vocabulary).
 type Fact = analysis.Fact
 
 // TaintFact is a function's exported taint summary: the same
@@ -94,15 +92,6 @@ type NoHashFact struct {
 }
 
 func (*NoHashFact) AFact() {}
-
-func init() {
-	analysis.RegisterFact(&TaintFact{})
-	analysis.RegisterFact(&BoundedFact{})
-	analysis.RegisterFact(&RootMintFact{})
-	analysis.RegisterFact(&ErrWrapFact{})
-	analysis.RegisterFact(&AllocFact{})
-	analysis.RegisterFact(&NoHashFact{})
-}
 
 // factPass is the pseudo-analyzer the fact pass runs under (facts have
 // no diagnostics of their own; the name only labels the Pass).

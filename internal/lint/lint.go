@@ -5,9 +5,9 @@
 // goroutine lifecycles, cancellable producer sends,
 // nondeterminism-free result/fingerprint flows, fingerprint coverage
 // of every spec knob, verbatim cancellation errors, and
-// allocation-free hot paths (DESIGN.md, "Mechanized contracts"). The
-// suite runs as `go vet -vettool=$(sopslint)` in CI, standalone via
-// cmd/sopslint, and in-process through the meta-test that keeps this
+// allocation-free hot paths (DESIGN.md, "Mechanized contracts"). One
+// in-process driver runs it: load.Packages then Run, behind both
+// cmd/sopslint (locally and in CI) and the meta-test that keeps this
 // repository at zero diagnostics.
 //
 // The syntax-shape analyzers work on the AST directly; walltime,
@@ -18,14 +18,12 @@
 // Duration instrumentation columns) pass without annotation.
 //
 // Analysis is modular across packages: before any analyzer runs on a
-// package, ExportFacts publishes that package's gob-serialized facts
-// (taint summaries, bounded goroutine launchers, context-root minting,
-// error-wrapping helpers, allocation summaries, nohash exclusions) to
-// its FactSet, and analyzers consult imported facts at cross-package
-// call and type boundaries. Under `go vet` the facts ride the .vetx
-// files of the unitchecker protocol; in-process, load.Packages returns
-// packages in dependency order sharing one fact set — the two paths
-// see identical diagnostics.
+// package, ExportFacts publishes that package's facts (taint summaries,
+// bounded goroutine launchers, context-root minting, error-wrapping
+// helpers, allocation summaries, nohash exclusions) to its FactSet, and
+// analyzers consult imported facts at cross-package call and type
+// boundaries. load.Packages returns packages in dependency order
+// sharing one fact set, so every import sees its dependency's exports.
 //
 // A finding that is a sanctioned exception is silenced with a directive
 // on (or immediately above) the offending line:
@@ -116,7 +114,7 @@ func Run(pkgs []*analysis.Package, checks []Check) ([]analysis.Diagnostic, error
 		ExportFacts(pkg)
 		var diags []analysis.Diagnostic
 		for _, c := range checks {
-			if c.AppliesTo != nil && !c.AppliesTo(basePath(pkg.Path)) {
+			if c.AppliesTo != nil && !c.AppliesTo(pkg.Path) {
 				continue
 			}
 			ds, err := analysis.Run(c.Analyzer, pkg)
@@ -141,14 +139,4 @@ func Run(pkgs []*analysis.Package, checks []Check) ([]analysis.Diagnostic, error
 		return a.Analyzer < b.Analyzer
 	})
 	return all, nil
-}
-
-// basePath strips the test-variant suffix `go vet` appends to import
-// paths ("repro/internal/sim [repro/internal/sim.test]"), so package
-// scoping holds under vettool invocation too.
-func basePath(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		return path[:i]
-	}
-	return path
 }

@@ -11,7 +11,7 @@ import (
 // the whole module, checked by the full default suite, must produce zero
 // diagnostics. Every true positive is either fixed or carries a
 // //sopslint:ignore directive with its justification, so a new finding
-// anywhere in the repo fails this test (and `go vet -vettool` in CI).
+// anywhere in the repo fails this test (and the sopslint gate in CI).
 func TestRepoIsClean(t *testing.T) {
 	pkgs, err := load.Packages("", "repro/...")
 	if err != nil {

@@ -264,11 +264,14 @@ func BenchmarkAblationNeighbourStrategies(b *testing.B) {
 	}
 	const radius = 3.0
 	b.Run("grid", func(b *testing.B) {
+		g := spatial.NewDenseGrid(radius)
+		var buf []int32
 		for i := 0; i < b.N; i++ {
-			g := spatial.NewGrid(pts, radius)
+			g.Rebuild(pts)
 			count := 0
 			for p := range pts {
-				g.ForNeighbors(p, radius, func(int) { count++ })
+				buf = g.AppendNeighbors(buf[:0], p)
+				count += len(buf)
 			}
 		}
 	})
@@ -397,8 +400,8 @@ func BenchmarkForceEvalF2(b *testing.B) {
 	_ = sink
 }
 
-// spreadSystem builds a system whose spread keeps the dense-grid strategy
-// selected (extent ≫ 3·rc), the simulator's neighbour-search hot path.
+// spreadSystem builds a system whose spread keeps the grid path selected
+// (extent ≫ 3·rc), the simulator's neighbour-search hot path.
 func spreadSystem(b *testing.B, n int) *sim.System {
 	b.Helper()
 	cfg := sim.Config{
@@ -419,7 +422,7 @@ func spreadSystem(b *testing.B, n int) *sim.System {
 	return sys
 }
 
-// BenchmarkStep measures the steady-state integrator step on the dense-grid
+// BenchmarkStep measures the steady-state integrator step on the grid
 // path. With ReportAllocs it also asserts the headline property of the
 // persistent grid: after warm-up, a step allocates nothing.
 func BenchmarkStep(b *testing.B) {
@@ -436,30 +439,14 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkGridRebuild compares the seed's per-step strategy (build a fresh
-// map-backed Grid every call) against the persistent DenseGrid's recycled
-// counting-sort Rebuild, including one query sweep each, at the paper's
-// collective sizes.
+// BenchmarkGridRebuild times the persistent DenseGrid's recycled
+// counting-sort Rebuild plus one query sweep at the paper's collective
+// sizes, and on a clustered collective spread so wide that the bucket
+// array wraps.
 func BenchmarkGridRebuild(b *testing.B) {
 	const radius = 3.0
-	for _, n := range []int{100, 1000} {
-		rng := rngx.New(19)
-		pts := make([]vec.Vec2, n)
-		for i := range pts {
-			x, y := rng.UniformDisc(math.Sqrt(float64(n)) * 2)
-			pts[i] = vec.Vec2{X: x, Y: y}
-		}
-		b.Run("map/n="+itoa(n), func(b *testing.B) {
-			b.ReportAllocs()
-			count := 0
-			for i := 0; i < b.N; i++ {
-				g := spatial.NewGrid(pts, radius)
-				for p := range pts {
-					g.ForNeighbors(p, radius, func(int) { count++ })
-				}
-			}
-		})
-		b.Run("dense/n="+itoa(n), func(b *testing.B) {
+	bench := func(name string, pts []vec.Vec2) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			g := spatial.NewDenseGrid(radius)
 			buf := make([]int32, 0, 64)
@@ -468,12 +455,34 @@ func BenchmarkGridRebuild(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g.Rebuild(pts)
 				for p := range pts {
-					buf = g.AppendNeighbors(buf[:0], p, radius)
+					buf = g.AppendNeighbors(buf[:0], p)
 					count += len(buf)
 				}
 			}
 		})
 	}
+	for _, n := range []int{100, 1000} {
+		rng := rngx.New(19)
+		pts := make([]vec.Vec2, n)
+		for i := range pts {
+			x, y := rng.UniformDisc(math.Sqrt(float64(n)) * 2)
+			pts[i] = vec.Vec2{X: x, Y: y}
+		}
+		bench("dense/n="+itoa(n), pts)
+	}
+	// 50 clusters of 20 within 2·radius of their centre, centres spread
+	// over 1e5: the bounding box needs ~10⁹ cells, the grid holds 4064.
+	rng := rngx.New(20)
+	pts := make([]vec.Vec2, 1000)
+	for i := range pts {
+		if i%20 == 0 {
+			pts[i] = vec.Vec2{X: rng.UniformIn(-5e4, 5e4), Y: rng.UniformIn(-5e4, 5e4)}
+			continue
+		}
+		x, y := rng.UniformDisc(2 * radius)
+		pts[i] = pts[i-i%20].Add(vec.Vec2{X: x, Y: y})
+	}
+	bench("spread/n=1000", pts)
 }
 
 func BenchmarkSimStep(b *testing.B) {

@@ -52,17 +52,20 @@ var AllocFree = &analysis.Analyzer{
 // hotPaths names the repo's per-step inner loops. Keys are
 // package.(receiver).function with the package's base import path.
 var hotPaths = map[string]bool{
-	"repro/internal/sim.(*System).Step":               true,
-	"repro/internal/knn.(*Tree).KNearest":             true,
-	"repro/internal/knn.(*Tree).CountWithin":          true,
-	"repro/internal/infotheory.(*Engine).ksgChunk":    true,
-	"repro/internal/infotheory.(*Engine).klChunk":     true,
-	"repro/internal/infotheory.(*Engine).kernelChunk": true,
-	"repro/internal/infotheory.(*Engine).approxChunk": true,
-	"repro/internal/align.(*Aligner).icp":             true,
-	"repro/internal/align.(*Aligner).nearest":         true,
-	"repro/internal/align.(*Aligner).matchByType":     true,
-	"repro/internal/align.(*Aligner).rowMin":          true,
+	"repro/internal/sim.(*System).Step":                   true,
+	"repro/internal/sim.(*System).computeForces":          true,
+	"repro/internal/spatial.(*DenseGrid).RebuildBounded":  true,
+	"repro/internal/spatial.(*DenseGrid).AppendNeighbors": true,
+	"repro/internal/knn.(*Tree).KNearest":                 true,
+	"repro/internal/knn.(*Tree).CountWithin":              true,
+	"repro/internal/infotheory.(*Engine).ksgChunk":        true,
+	"repro/internal/infotheory.(*Engine).klChunk":         true,
+	"repro/internal/infotheory.(*Engine).kernelChunk":     true,
+	"repro/internal/infotheory.(*Engine).approxChunk":     true,
+	"repro/internal/align.(*Aligner).icp":                 true,
+	"repro/internal/align.(*Aligner).nearest":             true,
+	"repro/internal/align.(*Aligner).matchByType":         true,
+	"repro/internal/align.(*Aligner).rowMin":              true,
 }
 
 const hotpathPrefix = "//sopslint:hotpath"

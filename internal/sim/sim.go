@@ -199,7 +199,7 @@ type System struct {
 
 	// Neighbour-search scratch state, recycled across steps so the
 	// steady-state grid path performs zero heap allocations.
-	grid *spatial.DenseGrid // persistent cell list, rebuilt in place
+	grid *spatial.DenseGrid // persistent cell list, rebuilt in place; nil when never used
 	nbr  []int32            // grid-path neighbour buffer
 }
 
@@ -240,6 +240,11 @@ func newFrom(cfg Config, pos []vec.Vec2, rng rngx.Source) (*System, error) {
 		noiseAmp: math.Sqrt(cfg.Dt * cfg.NoiseVariance),
 		lastNet:  math.NaN(),
 	}
+	// Below 32 particles, or with rc = ∞, every step takes the O(n²)
+	// sweep, so the grid is never built.
+	if !math.IsInf(cfg.Cutoff, 1) && cfg.N >= 32 {
+		s.grid = spatial.NewDenseGrid(cfg.Cutoff)
+	}
 	return s, nil
 }
 
@@ -253,16 +258,15 @@ func (s *System) Config() Config { return s.cfg }
 
 // Step advances the system by one Euler–Maruyama step.
 //
-// Neighbour search strategy: when the cut-off radius is finite and small
-// relative to the collective's extent a cell-list grid gives O(n) total
-// work; otherwise (rc = ∞ or rc spanning the whole collective) an O(n²)
-// pair sweep is cheaper in practice. The choice is re-made every step from
-// the current bounding box. All paths are exact: the two grid backends
-// visit neighbours in the same order and so are interchangeable
-// bit-for-bit, while the brute sweep accumulates in a different order and
-// agrees with them up to floating-point rounding (the tests verify
-// agreement to 1e-9). The grid is persistent and rebuilt in place, so in
-// steady state the grid path allocates nothing.
+// Neighbour search: when the cut-off radius is finite and small relative
+// to the collective's extent, the cell-list grid gives O(n) total work;
+// otherwise (rc = ∞ or rc spanning the whole collective) an O(n²) pair
+// sweep is cheaper in practice. The choice is re-made every step from the
+// current bounding box. Both paths are exact: the brute sweep accumulates
+// in a different order and agrees with the grid up to floating-point
+// rounding (the tests verify agreement to 1e-9). The grid is persistent
+// and rebuilt in place with O(n) memory at any spread, so in steady state
+// Step allocates nothing.
 func (s *System) Step() {
 	s.computeForces()
 	dt := s.cfg.Dt
@@ -292,66 +296,26 @@ func (s *System) noiseAt(i int) vec.Vec2 {
 	}
 }
 
-// nbrStrategy is the per-step neighbour-search choice.
-type nbrStrategy uint8
-
-const (
-	nbrBrute  nbrStrategy = iota // O(n²) pair sweep
-	nbrDense                     // flat CSR cell list, allocation-free rebuild
-	nbrSparse                    // map-backed cell list, O(n) memory at any spread
-)
-
-// Dense-grid memory is O(cells); beyond this many cells per particle the
-// sparse map grid wins.
-const (
-	maxDenseCellsPerPoint = 64
-	maxDenseCellsFloor    = 4096
-)
-
-// strategy decides the neighbour search for the current frame and returns
-// the frame's bounding box alongside, so the dense rebuild can reuse it
-// instead of scanning the positions a second time.
-func (s *System) strategy() (strat nbrStrategy, min, max vec.Vec2) {
-	rc := s.cfg.Cutoff
-	if math.IsInf(rc, 1) {
-		return nbrBrute, min, max
+// gridBox reports whether the current frame takes the grid path and
+// returns the frame's bounding box alongside, so the grid rebuild can
+// reuse it instead of scanning the positions a second time.
+func (s *System) gridBox() (min, max vec.Vec2, ok bool) {
+	if s.grid == nil {
+		return min, max, false
 	}
 	min, max = vec.BoundingBox(s.pos)
-	ex, ey := max.X-min.X, max.Y-min.Y
 	// A grid pays off when the 3×3 cell window covers clearly less than
 	// the whole collective.
-	if !(math.Max(ex, ey) > 3*rc) || len(s.pos) < 32 {
-		return nbrBrute, min, max
-	}
-	if (ex/rc+1)*(ey/rc+1) > float64(maxDenseCellsPerPoint*len(s.pos)+maxDenseCellsFloor) {
-		return nbrSparse, min, max
-	}
-	return nbrDense, min, max
-}
-
-// nbrSource is the common query surface of the two grid backends.
-type nbrSource interface {
-	AppendNeighbors(dst []int32, i int, radius float64) []int32
+	return min, max, math.Max(max.X-min.X, max.Y-min.Y) > 3*s.cfg.Cutoff
 }
 
 func (s *System) computeForces() {
 	for i := range s.force {
 		s.force[i] = vec.Vec2{}
 	}
-	var src nbrSource // nil selects the O(n²) sweep
-	strat, min, max := s.strategy()
-	switch strat {
-	case nbrDense:
-		if s.grid == nil {
-			s.grid = spatial.NewDenseGrid(s.cfg.Cutoff)
-		}
+	if min, max, ok := s.gridBox(); ok {
 		s.grid.RebuildBounded(s.pos, min, max)
-		src = s.grid
-	case nbrSparse:
-		src = spatial.NewGrid(s.pos, s.cfg.Cutoff)
-	}
-	if src != nil {
-		s.forcesScan(src)
+		s.forcesScan()
 	} else {
 		s.forcesBrute()
 	}
@@ -400,10 +364,9 @@ func (s *System) forcesBrute() {
 // forcesScan is the grid path: each unordered pair is evaluated once,
 // discovered from the lower-index particle's neighbour list. The scratch
 // buffer s.nbr is recycled across particles and steps.
-func (s *System) forcesScan(src nbrSource) {
-	rc := s.cfg.Cutoff
+func (s *System) forcesScan() {
 	for i := range s.pos {
-		s.nbr = src.AppendNeighbors(s.nbr[:0], i, rc)
+		s.nbr = s.grid.AppendNeighbors(s.nbr[:0], i)
 		for _, j := range s.nbr {
 			if int(j) > i { // each unordered pair once
 				s.pairForce(i, int(j))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -166,17 +167,17 @@ func TestGridAndBruteForcesAgree(t *testing.T) {
 	rng := rngx.New(3)
 	pos := make([]vec.Vec2, cfg.N)
 	for i := range pos {
-		x, y := rng.UniformDisc(20) // spread ≫ 3·rc so useGrid() is true
+		x, y := rng.UniformDisc(20) // spread ≫ 3·rc selects the grid path
 		pos[i] = vec.Vec2{X: x, Y: y}
 	}
 	sys, err := NewFromPositions(cfg, pos, rngx.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat, _, _ := sys.strategy(); strat != nbrDense {
-		t.Fatal("test setup: expected the dense-grid strategy to be selected")
+	if _, _, ok := sys.gridBox(); !ok {
+		t.Fatal("test setup: expected the grid path to be selected")
 	}
-	sys.computeForces() // dense-grid path
+	sys.computeForces() // grid path
 	fromGrid := append([]vec.Vec2(nil), sys.force...)
 	for i := range sys.force {
 		sys.force[i] = vec.Vec2{}
@@ -189,30 +190,35 @@ func TestGridAndBruteForcesAgree(t *testing.T) {
 	}
 }
 
-// Steady-state Step on the dense-grid path must not allocate: the grid and
-// the neighbour scratch buffer are recycled.
+// Steady-state Step on the grid path must not allocate: the grid and the
+// neighbour scratch buffer are recycled. The spread-out collective needs
+// far more cut-off cells than it has particles, so its grid wraps.
 func TestStepSteadyStateAllocationFree(t *testing.T) {
-	cfg := Config{
-		N:      128,
-		Force:  forces.MustF1(forces.ConstantMatrix(3, 1), forces.ConstantMatrix(3, 2)),
-		Cutoff: 2,
-	}.WithDefaults()
-	rng := rngx.New(8)
-	pos := make([]vec.Vec2, cfg.N)
-	for i := range pos {
-		x, y := rng.UniformDisc(40)
-		pos[i] = vec.Vec2{X: x, Y: y}
-	}
-	sys, err := NewFromPositions(cfg, pos, rngx.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strat, _, _ := sys.strategy(); strat != nbrDense {
-		t.Fatal("test setup: expected the dense-grid strategy")
-	}
-	sys.Run(3) // warm up grid and scratch buffers
-	if allocs := testing.AllocsPerRun(30, sys.Step); allocs != 0 {
-		t.Fatalf("steady-state Step allocated %.1f times per run, want 0", allocs)
+	for _, spread := range []float64{40, 1e5} {
+		t.Run(fmt.Sprintf("spread=%g", spread), func(t *testing.T) {
+			cfg := Config{
+				N:      128,
+				Force:  forces.MustF1(forces.ConstantMatrix(3, 1), forces.ConstantMatrix(3, 2)),
+				Cutoff: 2,
+			}.WithDefaults()
+			rng := rngx.New(8)
+			pos := make([]vec.Vec2, cfg.N)
+			for i := range pos {
+				x, y := rng.UniformDisc(spread)
+				pos[i] = vec.Vec2{X: x, Y: y}
+			}
+			sys, err := NewFromPositions(cfg, pos, rngx.New(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := sys.gridBox(); !ok {
+				t.Fatal("test setup: expected the grid path")
+			}
+			sys.Run(3) // warm up grid and scratch buffers
+			if allocs := testing.AllocsPerRun(30, sys.Step); allocs != 0 {
+				t.Fatalf("steady-state Step allocated %.1f times per run, want 0", allocs)
+			}
+		})
 	}
 }
 

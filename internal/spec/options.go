@@ -91,17 +91,6 @@ func WithEstimator(kind string, k int) Option {
 	}
 }
 
-// WithEstimatorTier selects the estimator tier ("exact" or "approx")
-// and, for the approximate tier, the per-step evaluation budget
-// (1 ≤ subsample < m).
-func WithEstimatorTier(tier string, subsample int) Option {
-	return func(sp *Spec) error {
-		e := sp.ensureEstimator()
-		e.Tier, e.Subsample = tier, subsample
-		return nil
-	}
-}
-
 // WithDecomposition additionally records the per-type Eq. (5)
 // decomposition at every recorded step.
 func WithDecomposition() Option {

@@ -40,11 +40,11 @@ import (
 // consistent within one role (dimensions may differ between roles).
 //
 // The k-th-neighbour searches and the three subspace counts run on the
-// shared tree engine (package knn) under the Chebyshev metric: one joint
-// tree over the flattened (x,y,z) rows and one range-count tree each for
-// the (z), (x,z) and (y,z) subspaces — the same four-structure layout
-// JIDT-style implementations use — replacing the former private O(m²)
-// sort-based sweep, with bit-identical results.
+// shared knn engine under the Chebyshev metric: one joint tree over the
+// flattened rows and one range-count strip each for the (z), (x,z) and
+// (y,z) subspaces — the same four-structure layout JIDT-style
+// implementations use — replacing the former private O(m²) sort-based
+// sweep, with bit-identical results.
 func ConditionalMutualInfo(xs, ys, zs [][]float64, k int) (float64, error) {
 	w, err := buildCMISpace(xs, ys, zs, k)
 	if err != nil {
@@ -113,17 +113,18 @@ func ConditionalMutualInfoApprox(xs, ys, zs [][]float64, k int, opts infotheory.
 	return est, nil
 }
 
-// cmiSpace is the validated, tree-indexed workspace shared by the exact
-// and approximate CMI paths: the flattened joint and subspace rows plus
-// their four Chebyshev trees.
+// cmiSpace is the validated, indexed workspace shared by the exact and
+// approximate CMI paths: the flattened joint rows, their Chebyshev
+// tree, and the three subspace count strips.
 type cmiSpace struct {
-	m, dx, dy, dz, dim               int
-	joint, zPts, xzPts, yzPts        []float64
-	jointTree, zTree, xzTree, yzTree knn.Tree
+	m, dx, dy, dz, dim int
+	joint              []float64 // rows laid out [x|z|y]
+	jointTree          knn.Tree
+	z, xz, zy          knn.Strip
 }
 
-// buildCMISpace validates the pooled samples and builds the four-tree
-// workspace.
+// buildCMISpace validates the pooled samples and builds the tree and
+// strip workspace.
 func buildCMISpace(xs, ys, zs [][]float64, k int) (*cmiSpace, error) {
 	m := len(xs)
 	if len(ys) != m || len(zs) != m {
@@ -143,44 +144,37 @@ func buildCMISpace(xs, ys, zs [][]float64, k int) (*cmiSpace, error) {
 		}
 	}
 
-	// Flatten the joint [x|y|z] rows and the three count subspaces. Under
-	// the max-norm, the joint metric of the former private sweep (max of
-	// the per-role max-norms) is exactly the Chebyshev distance on the
-	// concatenated row, and a strict (x,z)-count is a strict Chebyshev
-	// count on the [x|z] rows.
+	// Flatten the joint rows as [x|z|y], so each count subspace is one
+	// contiguous column range: z, [x|z] and [z|y]. Under the max-norm,
+	// the joint metric of the former private sweep (max of the per-role
+	// max-norms) is exactly the Chebyshev distance on the concatenated
+	// row, and a max over coordinates does not depend on their order: a
+	// strict (y,z)-count is a strict Chebyshev count on the [z|y]
+	// columns.
 	w := &cmiSpace{m: m, dx: dx, dy: dy, dz: dz, dim: dx + dy + dz}
 	w.joint = make([]float64, m*w.dim)
-	w.zPts = make([]float64, m*dz)
-	w.xzPts = make([]float64, m*(dx+dz))
-	w.yzPts = make([]float64, m*(dy+dz))
 	for i := 0; i < m; i++ {
 		row := w.joint[i*w.dim : (i+1)*w.dim]
 		copy(row, xs[i])
-		copy(row[dx:], ys[i])
-		copy(row[dx+dy:], zs[i])
-		copy(w.zPts[i*dz:], zs[i])
-		xz := w.xzPts[i*(dx+dz) : (i+1)*(dx+dz)]
-		copy(xz, xs[i])
-		copy(xz[dx:], zs[i])
-		yz := w.yzPts[i*(dy+dz) : (i+1)*(dy+dz)]
-		copy(yz, ys[i])
-		copy(yz[dy:], zs[i])
+		copy(row[dx:], zs[i])
+		copy(row[dx+dz:], ys[i])
 	}
 	w.jointTree.Rebuild(w.joint, m, w.dim, knn.Chebyshev, nil)
-	w.zTree.Rebuild(w.zPts, m, dz, knn.Chebyshev, nil)
-	w.xzTree.Rebuild(w.xzPts, m, dx+dz, knn.Chebyshev, nil)
-	w.yzTree.Rebuild(w.yzPts, m, dy+dz, knn.Chebyshev, nil)
+	w.z.Rebuild(w.joint, m, w.dim, dx, dz, knn.Chebyshev)
+	w.xz.Rebuild(w.joint, m, w.dim, 0, dx+dz, knn.Chebyshev)
+	w.zy.Rebuild(w.joint, m, w.dim, dx, dz+dy, knn.Chebyshev)
 	return w, nil
 }
 
 // term evaluates sample i's ψ-term ψ(n_z+1) − ψ(n_xz+1) − ψ(n_yz+1),
 // threading the caller's neighbour scratch.
 func (w *cmiSpace) term(i, k int, neigh []knn.Neighbor) (float64, []knn.Neighbor) {
-	neigh = w.jointTree.KNearest(w.joint[i*w.dim:(i+1)*w.dim], k, int32(i), neigh)
+	row := w.joint[i*w.dim : (i+1)*w.dim]
+	neigh = w.jointTree.KNearest(row, k, int32(i), neigh)
 	eps := neigh[k-1].Dist
-	nZ := w.zTree.CountWithin(w.zPts[i*w.dz:(i+1)*w.dz], eps, false, int32(i))
-	nXZ := w.xzTree.CountWithin(w.xzPts[i*(w.dx+w.dz):(i+1)*(w.dx+w.dz)], eps, false, int32(i))
-	nYZ := w.yzTree.CountWithin(w.yzPts[i*(w.dy+w.dz):(i+1)*(w.dy+w.dz)], eps, false, int32(i))
+	nZ := w.z.CountWithin(row[w.dx:w.dx+w.dz], eps, false, int32(i))
+	nXZ := w.xz.CountWithin(row[:w.dx+w.dz], eps, false, int32(i))
+	nYZ := w.zy.CountWithin(row[w.dx:], eps, false, int32(i))
 	return mathx.Digamma(float64(nZ+1)) -
 		mathx.Digamma(float64(nXZ+1)) -
 		mathx.Digamma(float64(nYZ+1)), neigh

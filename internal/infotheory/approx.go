@@ -26,15 +26,17 @@ import (
 // deterministic:
 //
 //   - Morton-ordered rows: the dataset's rows are copied into Z-order of
-//     their planar centroids, so tree builds and scans walk memory
-//     coherently. Trees carry ids = original sample indices, so every
-//     (distance, id) ordering — and therefore every count and neighbour
-//     set — is independent of the permutation (knn's
-//     permutation-invariance property test pins this).
+//     their planar centroids, so joint-tree builds and scans walk memory
+//     coherently. The joint tree carries ids = original sample indices,
+//     so every (distance, id) ordering — and therefore every neighbour
+//     set — is independent of the permutation, and counts never depend
+//     on row order (knn's permutation-invariance property tests pin
+//     both).
 //   - Amortized rebuilds: across same-shaped calls (the pipeline's
 //     consecutive recorded steps) the engine double-buffers the permuted
-//     rows and refreshes the trees in O(m·dim) instead of rebuilding,
-//     falling back to an internal rebuild when drift exceeds the bound.
+//     rows and refreshes the joint tree in O(m·dim) instead of
+//     rebuilding, falling back to an internal rebuild when drift exceeds
+//     the bound. The per-variable count strips are re-sorted each call.
 //   - Deterministic subsampling: evaluation points are drawn by a
 //     rngx.Stream seeded only from caller-supplied (Seed, Sequence) —
 //     never from engine state — so results are bit-identical across
@@ -78,9 +80,10 @@ type ApproxEstimate struct {
 }
 
 // approxState is the engine's approximate-tier working set: the cached
-// Morton layout, the double-buffered permuted rows, and the refreshable
-// trees. It is independent of the exact tier's scratch, so exact and
-// approximate calls interleave freely on one engine.
+// Morton layout, the double-buffered permuted rows, the refreshable
+// joint tree and the count strips. It is independent of the exact
+// tier's scratch, so exact and approximate calls interleave freely on
+// one engine.
 type approxState struct {
 	ms   spatial.MortonScratch
 	perm []int32 // row → original sample index (= tree ids)
@@ -92,12 +95,11 @@ type approxState struct {
 	blocks     []knn.Block
 	haveLayout bool
 
-	rows    [2][]float64   // double-buffered permuted rows
-	margPts [2][][]float64 // double-buffered per-variable marginal rows
-	cur     int            // buffer currently referenced by the trees
+	rows [2][]float64 // double-buffered permuted rows
+	cur  int          // buffer currently referenced by the joint tree
 
 	joint knn.Tree
-	marg  []knn.Tree
+	marg  []knn.Strip // per-variable range counters over rows[cur]
 
 	rowOf     []int32 // original sample index → permuted row
 	sampleIdx []int32 // SampleInto scratch, len m
@@ -203,12 +205,12 @@ func rowCentroid(row []float64) (x, y float64) {
 	return sx / float64(pairs), sy / float64(pairs)
 }
 
-// ensureApproxLayout makes the approximate tier's trees cover d's
-// current coordinates: a full Morton permutation + build when the
-// dataset shape changed since the last call, a double-buffered Refresh
-// (drift-gated, possibly an internal rebuild) when it did not. Either
-// way the trees are exact over d afterwards; which path ran never
-// affects results, only speed.
+// ensureApproxLayout makes the approximate tier's joint tree and strips
+// cover d's current coordinates: a full Morton permutation + build when
+// the dataset shape changed since the last call, a double-buffered
+// Refresh (drift-gated, possibly an internal rebuild) when it did not.
+// Either way the structures are exact over d afterwards; which path ran
+// never affects results, only speed.
 func (e *Engine) ensureApproxLayout(d *Dataset, maxDrift float64) {
 	ap := &e.approx
 	m, n := d.NumSamples(), d.NumVars()
@@ -246,53 +248,36 @@ func (e *Engine) ensureApproxLayout(d *Dataset, maxDrift float64) {
 		}
 		ap.m, ap.rowLen = m, d.rowLen
 		for len(ap.marg) < n {
-			ap.marg = append(ap.marg, knn.Tree{})
-		}
-		for b := range ap.margPts {
-			for len(ap.margPts[b]) < n {
-				ap.margPts[b] = append(ap.margPts[b], nil)
-			}
+			ap.marg = append(ap.marg, knn.Strip{})
 		}
 		ap.cur = 0
-		e.fillApproxBuffers(d, 0)
+		e.fillApproxRows(d, 0)
 		ap.joint.RebuildWithIDs(ap.rows[0], m, d.rowLen, knn.MaxEuclidean2, ap.blocks, ap.perm)
-		for v := 0; v < n; v++ {
-			ap.marg[v].RebuildWithIDs(ap.margPts[0][v], m, d.dims[v], knn.MaxEuclidean2, nil, ap.perm)
-		}
 		ap.haveLayout = true
-		return
+	} else {
+		// Same shape: write the new coordinates into the buffer the
+		// joint tree does NOT currently reference (Refresh needs the old
+		// coordinates intact to measure drift), then refresh.
+		next := 1 - ap.cur
+		e.fillApproxRows(d, next)
+		ap.joint.Refresh(ap.rows[next], maxDrift)
+		ap.cur = next
 	}
-
-	// Same shape: write the new coordinates into the buffer the trees do
-	// NOT currently reference (Refresh needs the old coordinates intact
-	// to measure drift), then refresh.
-	next := 1 - ap.cur
-	e.fillApproxBuffers(d, next)
-	ap.joint.Refresh(ap.rows[next], maxDrift)
+	// Strips copy their rows and are rebuilt outright: a sort of m keys
+	// per variable.
 	for v := 0; v < n; v++ {
-		ap.marg[v].Refresh(ap.margPts[next][v], maxDrift)
+		ap.marg[v].Rebuild(ap.rows[ap.cur], m, ap.rowLen, ap.offsets[v], ap.dims[v], knn.MaxEuclidean2)
 	}
-	ap.cur = next
 }
 
-// fillApproxBuffers copies d's rows (and per-variable marginal rows)
-// into buffer b in the cached Morton order.
-func (e *Engine) fillApproxBuffers(d *Dataset, b int) {
+// fillApproxRows copies d's rows into buffer b in the cached Morton
+// order.
+func (e *Engine) fillApproxRows(d *Dataset, b int) {
 	ap := &e.approx
-	m, n, rowLen := ap.m, len(ap.dims), ap.rowLen
-	buf := growFloats(ap.rows[b], m*rowLen)
+	buf := growFloats(ap.rows[b], ap.m*ap.rowLen)
 	ap.rows[b] = buf
 	for row, orig := range ap.perm {
-		copy(buf[row*rowLen:(row+1)*rowLen], d.Row(int(orig)))
-	}
-	for v := 0; v < n; v++ {
-		w := ap.dims[v]
-		mp := growFloats(ap.margPts[b][v], m*w)
-		ap.margPts[b][v] = mp
-		off := ap.offsets[v]
-		for row := 0; row < m; row++ {
-			copy(mp[row*w:(row+1)*w], buf[row*rowLen+off:row*rowLen+off+w])
-		}
+		copy(buf[row*ap.rowLen:(row+1)*ap.rowLen], d.Row(int(orig)))
 	}
 }
 
@@ -313,7 +298,7 @@ func (ap *approxState) approxVarDist2(buf []float64, a, b int32, v int) float64 
 
 // approxChunk evaluates the per-evaluation-point ψ-sums a_s for draw
 // positions [lo, hi) into ap.aVals, using the given worker's scratch.
-// It is ksgChunk transplanted onto the permuted trees: same radii, same
+// It is ksgChunk transplanted onto the permuted rows: same radii, same
 // strict/inclusive count rules, same clamps.
 func (e *Engine) approxChunk(k int, variant KSGVariant, worker, lo, hi int) {
 	ap := &e.approx

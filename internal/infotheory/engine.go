@@ -10,18 +10,18 @@ import (
 
 // Engine evaluates the continuous estimators — the KSG multi-information
 // variants, the Kozachenko–Leonenko differential entropy and the
-// Gaussian-kernel baseline — on the shared tree-accelerated
-// nearest-neighbour core (package knn), with reusable scratch storage.
+// Gaussian-kernel baseline — on the shared exact nearest-neighbour core
+// (package knn), with reusable scratch storage.
 // After warm-up, estimating same-shaped datasets performs no heap
 // allocation (with Workers ≤ 1), the same recycle pattern as
 // spatial.DenseGrid and align.Aligner.
 //
 // Every estimate is bit-identical to the retained brute-force reference
-// implementations (and therefore to the pre-engine code): the tree
-// evaluates the same floating-point distance expressions, breaks
-// neighbour ties by sample index exactly as a (distance, index) sort
-// does, and the per-sample digamma/log terms are reduced in the same
-// fixed order regardless of Workers.
+// implementations (and therefore to the pre-engine code): trees and
+// strips evaluate the same floating-point distance expressions, trees
+// break neighbour ties by sample index exactly as a (distance, index)
+// sort does, and the per-sample digamma/log terms are reduced in the
+// same fixed order regardless of Workers.
 //
 // An Engine is not safe for concurrent use; give each goroutine its own
 // (experiment.Pipeline does, one per estimation worker). The zero value
@@ -35,8 +35,7 @@ type Engine struct {
 
 	joint   knn.Tree
 	blocks  []knn.Block
-	marg    []knn.Tree
-	margPts [][]float64
+	marg    []knn.Strip // one range counter per variable
 	flat    knn.Tree
 	flatPts []float64
 	psi     []float64 // per-(sample,variable) digamma / per-sample log terms
@@ -124,9 +123,10 @@ func (e *Engine) KSGVariantEstimator(k int, v KSGVariant) Estimator {
 
 // MultiInfoKSGVariant estimates the multi-information of the dataset in
 // bits (see the package-level MultiInfoKSGVariant for the estimator
-// definitions) using the tree engine: one joint k-d tree under the
+// definitions) using the knn engine: one joint k-d tree under the
 // paper's max-over-variables metric answers the k-nearest-neighbour
-// queries, and one per-variable tree answers the marginal range counts.
+// queries, and one knn.Strip per variable answers the marginal range
+// counts.
 func (e *Engine) MultiInfoKSGVariant(d *Dataset, k int, variant KSGVariant) float64 {
 	m := d.NumSamples()
 	n := d.NumVars()
@@ -150,20 +150,13 @@ func (e *Engine) MultiInfoKSGVariant(d *Dataset, k int, variant KSGVariant) floa
 	}
 	e.joint.Rebuild(d.data, m, d.rowLen, knn.MaxEuclidean2, e.blocks)
 
-	// One tree per variable for the marginal counts, over flattened
-	// copies of the variable's columns.
+	// One strip per variable for the marginal counts, gathered from
+	// the variable's columns of the dataset rows.
 	for len(e.marg) < n {
-		e.marg = append(e.marg, knn.Tree{})
-		e.margPts = append(e.margPts, nil)
+		e.marg = append(e.marg, knn.Strip{})
 	}
 	for v := 0; v < n; v++ {
-		w := d.dims[v]
-		pts := growFloats(e.margPts[v], m*w)
-		for s := 0; s < m; s++ {
-			copy(pts[s*w:(s+1)*w], d.Var(s, v))
-		}
-		e.margPts[v] = pts
-		e.marg[v].Rebuild(pts, m, w, knn.MaxEuclidean2, nil)
+		e.marg[v].Rebuild(d.data, m, d.rowLen, d.offsets[v], d.dims[v], knn.MaxEuclidean2)
 	}
 
 	// Per-(sample, variable) digamma terms; reduced in fixed order below

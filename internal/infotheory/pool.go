@@ -2,11 +2,12 @@ package infotheory
 
 import "sync"
 
-// EnginePool recycles estimator engines across pipeline runs. An Engine's
-// k-d trees and scratch stores grow to the working-set size of the
-// datasets it estimates and are then reused allocation-free; a session
-// that runs many pipelines back to back (a sweep, a long-lived service)
-// re-uses the same engines instead of re-growing fresh ones per run.
+// EnginePool recycles estimator engines across pipeline runs. An
+// Engine's k-d trees, count strips and scratch stores grow to the
+// working-set size of the datasets it estimates and are then reused
+// allocation-free; a session that runs many pipelines back to back (a
+// sweep, a long-lived service) re-uses the same engines instead of
+// re-growing fresh ones per run.
 //
 // A nil *EnginePool is valid and simply allocates: Get returns a fresh
 // engine, Put drops it — so pool support can be threaded through APIs
@@ -48,7 +49,8 @@ func (ep *EnginePool) Get(sampleWorkers int) *Engine {
 // caller-owned storage are always dropped: the joint and flat trees
 // alias the last dataset's row slab (Engine.flatten may serve the
 // dataset's own storage), and a pooled engine holding that reference
-// would keep an entire ensemble's dataset alive between runs. And when
+// would keep an entire ensemble's dataset alive between runs; the count
+// strips copy their rows, so they alias nothing. And when
 // the engine's own recycled scratch exceeds poolWatermarkBytes, the
 // engine is reset to its zero state — recycling exists to amortize
 // paper-scale working sets, not to pin a one-off huge-m run's gigabytes
@@ -68,7 +70,7 @@ func (ep *EnginePool) Put(e *Engine) {
 }
 
 // retainedBytes reports the engine's recycled storage footprint: every
-// scratch slab and tree capacity it would carry into the pool.
+// scratch slab, tree and strip capacity it would carry into the pool.
 // References into caller-owned storage (dataset rows) are not counted —
 // Put drops those unconditionally.
 func (e *Engine) retainedBytes() int {
@@ -78,9 +80,6 @@ func (e *Engine) retainedBytes() int {
 	b += 16 * cap(e.blocks)
 	for i := range e.marg {
 		b += e.marg[i].RetainedBytes()
-	}
-	for i := range e.margPts {
-		b += 8 * cap(e.margPts[i])
 	}
 	for i := range e.scratch {
 		b += 16*cap(e.scratch[i].neigh) + 8*cap(e.scratch[i].logs)
@@ -92,9 +91,6 @@ func (e *Engine) retainedBytes() int {
 	}
 	for buf := range ap.rows {
 		b += 8 * cap(ap.rows[buf])
-		for v := range ap.margPts[buf] {
-			b += 8 * cap(ap.margPts[buf][v])
-		}
 	}
 	b += ap.ms.RetainedBytes()
 	b += 8 * (cap(ap.dims) + cap(ap.offsets))

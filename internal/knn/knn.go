@@ -3,15 +3,16 @@
 // estimator and the Kozachenko–Leonenko entropy estimator (package
 // infotheory) and the Frenzel–Pompe conditional mutual-information
 // estimator (package infodynamics). It replaces four private O(m²)
-// sort-based distance sweeps with one sub-quadratic core.
+// sort-based distance sweeps with two sub-quadratic structures, one per
+// query shape:
 //
-// A Tree indexes m points stored as contiguous rows of a flat []float64
-// and answers two query shapes exactly:
-//
-//   - KNearest: the k nearest neighbours of a query point, sorted by
-//     (distance, index) with deterministic index tie-breaking;
-//   - CountWithin: the number of points strictly (or inclusively) within
-//     a radius.
+//   - Tree, a k-d tree over m points stored as contiguous rows of a flat
+//     []float64, answers KNearest: the k nearest neighbours of a query
+//     point, sorted by (distance, index) with deterministic index
+//     tie-breaking.
+//   - Strip, a copy of the rows sorted along one axis, answers
+//     CountWithin: the number of points strictly (or inclusively)
+//     within a radius.
 //
 // Two metrics cover every estimator in the repository:
 //
@@ -19,7 +20,8 @@
 //     variable blocks of the per-block squared Euclidean distance.
 //     Distances are reported in squared space (monotonic, so ordering and
 //     counts are unchanged). A single block spanning all coordinates is
-//     plain squared Euclidean distance (the KL entropy metric).
+//     plain squared Euclidean distance (the KL entropy metric, and the
+//     only form a Strip counts in).
 //   - Chebyshev — max over coordinates of |Δ|, the max-norm of the
 //     Frenzel–Pompe estimator.
 //
@@ -27,20 +29,22 @@
 //
 // Results are bit-identical to a brute-force sweep that evaluates the
 // same floating-point distance expression (a sequential sum of squared
-// coordinate differences per block, maxed across blocks): candidate
-// distances are computed by exactly that expression, and the tree's
-// box/axis bounds are computed with elementwise-dominating terms summed
-// in the same coordinate order, so IEEE rounding monotonicity guarantees
-// a bound never misranks a point it gates. Subtree pruning and
-// bulk-acceptance use strict inequalities wherever an equal-distance
-// point could still matter (index tie-breaks, inclusive counts), so ties
-// resolve exactly as the brute path resolves them.
+// coordinate differences per block, maxed across blocks). The tree
+// computes candidate distances by exactly that expression, and its
+// box/axis bounds with elementwise-dominating terms summed in the same
+// coordinate order, so IEEE rounding monotonicity guarantees a bound
+// never misranks a point it gates. Subtree pruning uses strict
+// inequalities wherever an equal-distance point could still matter
+// (index tie-breaks), so ties resolve exactly as the brute path resolves
+// them. The strip's window bound is a single term of the same
+// expression, which no sum or max of non-negative terms falls below
+// (see Strip.CountWithin).
 //
-// Trees are rebuildable in place: after warm-up, Rebuild over same-shaped
-// inputs performs no heap allocation (the spatial.DenseGrid /
-// align.Aligner recycle pattern). Queries never mutate the tree, so one
-// tree serves concurrent readers; per-query scratch (the Neighbor
-// buffer) is caller-provided.
+// Trees and strips are rebuildable in place: after warm-up, Rebuild over
+// same-shaped inputs performs no heap allocation (the spatial.DenseGrid
+// / align.Aligner recycle pattern). Queries never mutate them, so one
+// tree or strip serves concurrent readers; per-query scratch (the
+// Neighbor buffer) is caller-provided.
 package knn
 
 import (
@@ -48,7 +52,7 @@ import (
 	"sort"
 )
 
-// Metric selects the distance kernel of a Tree.
+// Metric selects the distance kernel of a Tree or Strip.
 type Metric int
 
 const (
@@ -71,7 +75,7 @@ type Neighbor struct {
 }
 
 // TreeDimLimit is the dimension above which Rebuild skips building tree
-// nodes and queries fall back to a flat scan with early-exit partial
+// nodes and KNearest falls back to a flat scan with early-exit partial
 // distances. Past ~16 dimensions a k-d tree on estimator-sized point sets
 // prunes almost nothing and the node traversal overhead makes it slower
 // than the scan; both paths honour the same equivalence contract. Tests
@@ -469,42 +473,6 @@ func (t *Tree) minDistBox(ni int32, q []float64) float64 {
 	return worst
 }
 
-// maxDistBox returns an upper bound on the distance from q to any point
-// in node ni's bounding box, with the same floating-point domination
-// guarantee as minDistBox.
-func (t *Tree) maxDistBox(ni int32, q []float64) float64 {
-	lo := t.boxes[int(ni)*2*t.dim : int(ni)*2*t.dim+t.dim]
-	hi := t.boxes[int(ni)*2*t.dim+t.dim : (int(ni)*2+2)*t.dim]
-	if t.metric == Chebyshev {
-		var worst float64
-		for i := range q {
-			m := q[i] - lo[i]
-			if h := hi[i] - q[i]; h > m {
-				m = h
-			}
-			if m > worst {
-				worst = m
-			}
-		}
-		return worst
-	}
-	var worst float64
-	for _, b := range t.blocks {
-		var s float64
-		for i := b.Off; i < b.Off+b.Len; i++ {
-			m := q[i] - lo[i]
-			if h := hi[i] - q[i]; h > m {
-				m = h
-			}
-			s += m * m
-		}
-		if s > worst {
-			worst = s
-		}
-	}
-	return worst
-}
-
 // knnState is the mutable state of one KNearest query; it lives on the
 // caller's stack so concurrent queries over one tree are safe.
 type knnState struct {
@@ -625,56 +593,4 @@ func (t *Tree) searchKNN(ni int32, st *knnState) {
 	if gap <= st.dst[st.k-1].Dist {
 		t.searchKNN(far, st)
 	}
-}
-
-// CountWithin returns the number of indexed points within radius r of q:
-// strictly (dist < r) by default, inclusively (dist ≤ r) when inclusive
-// is set. r is in the metric's comparison space (squared for
-// MaxEuclidean2). If exclude is ≥ 0 it must be the row index holding
-// exactly q's coordinates (the usual self-exclusion of the estimators);
-// its guaranteed zero self-distance is subtracted from bulk-accepted
-// subtrees rather than threaded through the traversal.
-func (t *Tree) CountWithin(q []float64, r float64, inclusive bool, exclude int32) int {
-	var c int
-	if t.built {
-		c = t.countNode(t.root, q, r, inclusive)
-		if exclude >= 0 && (r > 0 || (inclusive && r == 0)) {
-			c--
-		}
-		return c
-	}
-	for j := 0; j < t.n; j++ {
-		if int32(j) == exclude {
-			continue
-		}
-		d, ok := t.dist(q, int32(j), r)
-		if !ok {
-			continue
-		}
-		if d < r || (inclusive && d == r) {
-			c++
-		}
-	}
-	return c
-}
-
-func (t *Tree) countNode(ni int32, q []float64, r float64, inclusive bool) int {
-	if ni < 0 {
-		return 0
-	}
-	minD := t.minDistBox(ni, q)
-	// Reject the subtree only when every point must fail the predicate.
-	if minD > r || (!inclusive && minD == r) {
-		return 0
-	}
-	nd := &t.nodes[ni]
-	maxD := t.maxDistBox(ni, q)
-	if maxD < r || (inclusive && maxD == r) {
-		return int(nd.count)
-	}
-	var c int
-	if d, ok := t.dist(q, nd.index, r); ok && (d < r || (inclusive && d == r)) {
-		c = 1
-	}
-	return c + t.countNode(nd.left, q, r, inclusive) + t.countNode(nd.right, q, r, inclusive)
 }

@@ -59,20 +59,6 @@ func bruteKNearest(pts []float64, n, dim int, metric Metric, blocks []Block, q, 
 	return all
 }
 
-func bruteCount(pts []float64, n, dim int, metric Metric, blocks []Block, q int, r float64, inclusive bool) int {
-	c := 0
-	for j := 0; j < n; j++ {
-		if j == q {
-			continue
-		}
-		d := bruteDist(pts, dim, metric, blocks, q, j)
-		if d < r || (inclusive && d == r) {
-			c++
-		}
-	}
-	return c
-}
-
 // randomInstance draws a point set with deliberate duplicates and
 // coordinate collisions so the (distance, index) tie-breaking paths are
 // exercised, plus a random block structure.
@@ -148,40 +134,6 @@ func TestKNearestMatchesBruteExactly(t *testing.T) {
 	})
 }
 
-func TestCountWithinMatchesBruteExactly(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	forEachMode(t, func(t *testing.T, wantTree bool) {
-		var tr Tree
-		for trial := 0; trial < 200; trial++ {
-			pts, n, dim, blocks := randomInstance(r)
-			for _, metric := range []Metric{MaxEuclidean2, Chebyshev} {
-				bl := blocks
-				if metric == Chebyshev {
-					bl = nil
-				}
-				tr.Rebuild(pts, n, dim, metric, bl)
-				for q := 0; q < n; q++ {
-					// Radii that exactly hit point distances probe the
-					// strict/inclusive boundary; add a couple of generic ones.
-					radii := []float64{0, r.Float64() * 10}
-					j := r.Intn(n)
-					radii = append(radii, bruteDist(pts, dim, metric, bl, q, j))
-					for _, rad := range radii {
-						for _, inclusive := range []bool{false, true} {
-							got := tr.CountWithin(rowOf(pts, dim, q), rad, inclusive, int32(q))
-							want := bruteCount(pts, n, dim, metric, bl, q, rad, inclusive)
-							if got != want {
-								t.Fatalf("metric %v q=%d r=%v inclusive=%v: count %d, want %d",
-									metric, q, rad, inclusive, got, want)
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
 func rowOf(pts []float64, dim, j int) []float64 { return pts[j*dim : (j+1)*dim] }
 
 // Rebuilding over new data must behave exactly like a fresh tree, and in
@@ -229,10 +181,6 @@ func TestSteadyStateRebuildAndQueryAllocationFree(t *testing.T) {
 		tr.Rebuild(pts, n, dim, MaxEuclidean2, blocks)
 		for q := 0; q < n; q++ {
 			scratch = tr.KNearest(rowOf(pts, dim, q), k, int32(q), scratch)
-			d := scratch[k-1].Dist
-			if tr.CountWithin(rowOf(pts, dim, q), d, false, int32(q)) < k-1 {
-				t.Fatal("impossible count")
-			}
 		}
 	})
 	if allocs != 0 {
@@ -263,8 +211,8 @@ func perturb(r *rand.Rand, pts []float64, frac float64) []float64 {
 
 // TestRefreshMatchesRebuildExactly is the Refresh equivalence contract:
 // after any sequence of small or large moves, a refreshed (or
-// internally rebuilt) tree answers KNearest and CountWithin bit-identically
-// to a freshly built tree over the same coordinates.
+// internally rebuilt) tree answers KNearest bit-identically to a freshly
+// built tree over the same coordinates.
 func TestRefreshMatchesRebuildExactly(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 80; trial++ {
@@ -301,16 +249,6 @@ func TestRefreshMatchesRebuildExactly(t *testing.T) {
 					for i := range a {
 						if a[i] != b[i] {
 							t.Fatalf("trial %d step %d q=%d: refreshed tree diverged: %v vs %v", trial, step, q, a[i], b[i])
-						}
-					}
-					if len(a) > 0 {
-						rad := a[len(a)-1].Dist
-						for _, inc := range []bool{false, true} {
-							ca := tr.CountWithin(rowOf(next, dim, q), rad, inc, int32(q))
-							cb := fresh.CountWithin(rowOf(next, dim, q), rad, inc, int32(q))
-							if ca != cb {
-								t.Fatalf("trial %d step %d q=%d: count %d vs %d", trial, step, q, ca, cb)
-							}
 						}
 					}
 				}
@@ -386,8 +324,8 @@ func TestRefreshSteadyStateAllocationFree(t *testing.T) {
 // TestStableIDsMakeResultsPermutationInvariant pins the property the
 // approximate estimator tier builds on: a tree over Morton- (or any-)
 // permuted rows with ids = original indices returns, for every query,
-// the same (distance, original-index) neighbour list and the same counts
-// as a tree over the original layout.
+// the same (distance, original-index) neighbour list as a tree over the
+// original layout.
 func TestStableIDsMakeResultsPermutationInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 60; trial++ {
@@ -420,16 +358,6 @@ func TestStableIDsMakeResultsPermutationInvariant(t *testing.T) {
 					if got[i].Dist != want[i].Dist || ids[got[i].Index] != want[i].Index {
 						t.Fatalf("trial %d metric %v q=%d neighbour %d: got {row %d → id %d, %v}, want {%d, %v}",
 							trial, metric, q, i, got[i].Index, ids[got[i].Index], got[i].Dist, want[i].Index, want[i].Dist)
-					}
-				}
-				if len(want) > 0 {
-					rad := want[len(want)-1].Dist
-					for _, inc := range []bool{false, true} {
-						cw := base.CountWithin(rowOf(pts, dim, q), rad, inc, int32(q))
-						cg := permTree.CountWithin(rowOf(pts, dim, q), rad, inc, rowOfOrig[q])
-						if cw != cg {
-							t.Fatalf("trial %d q=%d: count %d vs %d", trial, q, cw, cg)
-						}
 					}
 				}
 			}

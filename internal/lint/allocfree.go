@@ -57,7 +57,8 @@ var hotPaths = map[string]bool{
 	"repro/internal/spatial.(*DenseGrid).RebuildBounded":  true,
 	"repro/internal/spatial.(*DenseGrid).AppendNeighbors": true,
 	"repro/internal/knn.(*Tree).KNearest":                 true,
-	"repro/internal/knn.(*Tree).CountWithin":              true,
+	"repro/internal/knn.(*Strip).CountWithin":             true,
+	"repro/internal/knn.(*Strip).Rebuild":                 true,
 	"repro/internal/infotheory.(*Engine).ksgChunk":        true,
 	"repro/internal/infotheory.(*Engine).klChunk":         true,
 	"repro/internal/infotheory.(*Engine).kernelChunk":     true,
@@ -214,7 +215,9 @@ func checkHotCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, sum
 	if allocates && !guarded.contains(call.Pos()) {
 		report(call.Pos(), fmt.Sprintf("call to %s, which allocates,", calleeLabel(fn)))
 	}
-	sig, ok := fn.Type().(*types.Signature)
+	// The call's own signature: for a generic callee it is instantiated,
+	// so a type-parameter argument shows its concrete type.
+	sig, ok := pass.TypeOf(call.Fun).(*types.Signature)
 	if !ok {
 		return
 	}

@@ -63,5 +63,12 @@ func hotErr(n int) error {
 	return nil
 }
 
+func keep[T any](v T) T { return v }
+
+//sopslint:hotpath a generic callee is instantiated: nothing is boxed
+func hotGeneric(xs []float64) []float64 {
+	return keep(xs) // T = []float64: fine
+}
+
 /* want "needs a reason" */ //sopslint:hotpath
 func hotNoReason()          {}

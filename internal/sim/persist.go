@@ -68,8 +68,22 @@ func (e *Ensemble) Encode(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(f)
 }
 
+// EnsembleFileError reports a decoded ensemble file whose shape is
+// inconsistent: the particle count, the type list, the sample count and
+// the recorded frames do not fit together, so its frames could not be
+// read safely.
+type EnsembleFileError struct {
+	// Problem names the first inconsistency found.
+	Problem string
+}
+
+func (e *EnsembleFileError) Error() string { return "sim: read ensemble: " + e.Problem }
+
 // ReadEnsemble deserialises an ensemble written by Encode and rebuilds its
-// force function from the stored spec.
+// force function from the stored spec. A file whose shape is
+// inconsistent is rejected with an *EnsembleFileError, so every frame of
+// an accepted ensemble holds N positions and FramesAt is safe for every
+// recorded step.
 func ReadEnsemble(r io.Reader) (*Ensemble, error) {
 	var f ensembleFile
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
@@ -81,6 +95,9 @@ func ReadEnsemble(r io.Reader) (*Ensemble, error) {
 	force, err := f.Force.Build()
 	if err != nil {
 		return nil, fmt.Errorf("sim: read ensemble: %w", err)
+	}
+	if err := f.checkShape(force.Types()); err != nil {
+		return nil, err
 	}
 	ens := &Ensemble{
 		Cfg: EnsembleConfig{
@@ -105,6 +122,43 @@ func ReadEnsemble(r io.Reader) (*Ensemble, error) {
 		Equilibrated: f.Equilibrated,
 	}
 	return ens, nil
+}
+
+// checkShape reports the first inconsistency between the file's
+// particle count, types, sample count and recorded frames, given the
+// stored force's number of types.
+func (f *ensembleFile) checkShape(forceTypes int) error {
+	bad := func(format string, args ...any) error {
+		return &EnsembleFileError{Problem: fmt.Sprintf(format, args...)}
+	}
+	if f.N < 1 {
+		return bad("N=%d, want at least 1", f.N)
+	}
+	if len(f.Types) != f.N {
+		return bad("%d types for N=%d particles", len(f.Types), f.N)
+	}
+	for i, t := range f.Types {
+		if t < 0 || t >= forceTypes {
+			return bad("particle %d has type %d, want [0,%d)", i, t, forceTypes)
+		}
+	}
+	if len(f.Trajs) != f.M || len(f.Equilibrated) != f.M {
+		return bad("%d trajectories and %d equilibrium flags for M=%d samples", len(f.Trajs), len(f.Equilibrated), f.M)
+	}
+	for s, tr := range f.Trajs {
+		if len(tr.Times) != len(tr.Frames) {
+			return bad("sample %d has %d times for %d frames", s, len(tr.Times), len(tr.Frames))
+		}
+		if len(tr.Times) != len(f.Trajs[0].Times) {
+			return bad("sample %d has %d frames, sample 0 has %d", s, len(tr.Times), len(f.Trajs[0].Times))
+		}
+		for t, frame := range tr.Frames {
+			if len(frame) != f.N {
+				return bad("sample %d frame %d holds %d positions for N=%d", s, t, len(frame), f.N)
+			}
+		}
+	}
+	return nil
 }
 
 // SaveEnsemble writes the ensemble to a file.

@@ -2,11 +2,14 @@ package sim
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/forces"
+	"repro/internal/vec"
 )
 
 func roundTripEnsemble(t *testing.T, ec EnsembleConfig) (*Ensemble, *Ensemble) {
@@ -125,4 +128,104 @@ func TestForceSpecRoundTrip(t *testing.T) {
 	if _, err := (forces.Spec{Family: "F1", K: [][]float64{{1, 2}, {3, 4}}}).Build(); err == nil {
 		t.Error("asymmetric spec accepted")
 	}
+}
+
+// smallEnsembleFile returns a consistent file: N=3 particles of two
+// types, M=2 samples of two recorded frames each.
+func smallEnsembleFile(t testing.TB) ensembleFile {
+	t.Helper()
+	spec, err := forces.ToSpec(forces.MustF1(forces.ConstantMatrix(2, 1), forces.ConstantMatrix(2, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(x float64) []vec.Vec2 { return []vec.Vec2{{X: x}, {X: x + 1}, {Y: x}} }
+	traj := func(x float64) Trajectory {
+		return Trajectory{Times: []int{0, 5}, Frames: [][]vec.Vec2{frame(x), frame(x + 2)}}
+	}
+	return ensembleFile{
+		Version: ensembleFileVersion,
+		N:       3,
+		Types:   []int{0, 1, 0},
+		Force:   spec,
+		Cutoff:  5,
+		Dt:      0.01,
+		M:       2,
+		Steps:   5,
+		Trajs:   []Trajectory{traj(0), traj(10)},
+
+		Equilibrated: []bool{true, false},
+	}
+}
+
+func encodeEnsembleFile(t testing.TB, f ensembleFile) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadEnsembleRejectsBadShapes: every shape inconsistency the frame
+// readers would trip over is rejected with an *EnsembleFileError.
+func TestReadEnsembleRejectsBadShapes(t *testing.T) {
+	if _, err := ReadEnsemble(bytes.NewReader(encodeEnsembleFile(t, smallEnsembleFile(t)))); err != nil {
+		t.Fatalf("consistent file rejected: %v", err)
+	}
+	for name, breakIt := range map[string]func(f *ensembleFile){
+		"zero N":            func(f *ensembleFile) { f.N, f.Types = 0, nil },
+		"negative N":        func(f *ensembleFile) { f.N = -1 },
+		"types short":       func(f *ensembleFile) { f.Types = f.Types[:2] },
+		"type out of range": func(f *ensembleFile) { f.Types[1] = 2 },
+		"M above trajs":     func(f *ensembleFile) { f.M = 3 },
+		"flags short":       func(f *ensembleFile) { f.Equilibrated = f.Equilibrated[:1] },
+		"times short":       func(f *ensembleFile) { f.Trajs[1].Times = f.Trajs[1].Times[:1] },
+		"ragged samples": func(f *ensembleFile) {
+			f.Trajs[1].Times, f.Trajs[1].Frames = f.Trajs[1].Times[:1], f.Trajs[1].Frames[:1]
+		},
+		"short frame":         func(f *ensembleFile) { f.Trajs[1].Frames[1] = f.Trajs[1].Frames[1][:2] },
+		"long frame":          func(f *ensembleFile) { f.Trajs[0].Frames[0] = append(f.Trajs[0].Frames[0], vec.Vec2{}) },
+		"no frames in sample": func(f *ensembleFile) { f.Trajs[0] = Trajectory{} },
+	} {
+		f := smallEnsembleFile(t)
+		breakIt(&f)
+		_, err := ReadEnsemble(bytes.NewReader(encodeEnsembleFile(t, f)))
+		var fe *EnsembleFileError
+		if !errors.As(err, &fe) {
+			t.Errorf("%s: got %v, want an *EnsembleFileError", name, err)
+		}
+	}
+}
+
+// FuzzReadEnsemble: any bytes give an error or an ensemble whose every
+// recorded step can be collected with FramesAt, each frame holding N
+// positions.
+func FuzzReadEnsemble(f *testing.F) {
+	good := smallEnsembleFile(f)
+	f.Add(encodeEnsembleFile(f, good))
+	short := smallEnsembleFile(f)
+	short.Trajs[1].Frames[1] = short.Trajs[1].Frames[1][:1]
+	f.Add(encodeEnsembleFile(f, short))
+	ragged := smallEnsembleFile(f)
+	ragged.Trajs[0].Times = ragged.Trajs[0].Times[:1]
+	ragged.Trajs[0].Frames = ragged.Trajs[0].Frames[:1]
+	f.Add(encodeEnsembleFile(f, ragged))
+	f.Add([]byte("not a gob stream"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ens, err := ReadEnsemble(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		n := ens.Cfg.Sim.N
+		if len(ens.Types) != n {
+			t.Fatalf("accepted %d types for N=%d", len(ens.Types), n)
+		}
+		for step := range ens.Times() {
+			for s, frame := range ens.FramesAt(step) {
+				if len(frame) != n {
+					t.Fatalf("step %d sample %d: %d positions for N=%d", step, s, len(frame), n)
+				}
+			}
+		}
+	})
 }
